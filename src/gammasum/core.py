@@ -17,10 +17,15 @@ picks out exactly sum_n b_n P(alpha+n, vx), which makes results
 independent of the choice of r. That r-invariance is the strongest
 testable property of the method and is exercised in the test suite.
 
+The coefficients P(alpha+n, vx) come from the kernel of genfun under the
+paired-series bound of _paired_coefficients, which the series route of
+oracles shares.
+
 The integrand extends to a 2 pi periodic analytic function of phi, so the
 midpoint rule converges geometrically; node doubling supplies a two-level
-error estimate. Node values within a level are summed with math.fsum so
-results are deterministic and exactly rounded for a given node count.
+error estimate (_refine, shared with mvgamma). Node values within a level
+are summed with math.fsum so results are deterministic and exactly
+rounded for a given node count.
 """
 
 from __future__ import annotations
@@ -33,12 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .genfun import _cdf_coefficient_stream, _horner, _series_value
+from .genfun import _gamma_tail_coefficients, _geometric_coefficients, _horner
 from .special import reg_lower_gamma
 
 _log = logging.getLogger("gammasum.core")
-
-_COEFF_CAP = 200000
 
 
 @dataclass(frozen=True)
@@ -176,17 +179,22 @@ def derive_params(p):
     return DerivedParams(p.alphas, v, c, alpha_total, c_max, log_pref)
 
 
-def choose_r(d, cfg):
-    """Resolve the contour radius: the midpoint (1 + c_max)/2 when auto,
-    otherwise the configured value after validating c_max < r < 1."""
+def _radius(c_norm, cfg):
+    """Resolve the contour radius: the midpoint (1 + c_norm)/2 when auto,
+    otherwise the configured value after validating c_norm < r < 1."""
     if cfg.r is None:
-        return 0.5 * (1.0 + d.c_max_abs)
-    if not (d.c_max_abs < cfg.r < 1.0):
+        return 0.5 * (1.0 + c_norm)
+    if not (c_norm < cfg.r < 1.0):
         raise ConfigError(
             f"r = {cfg.r!r} outside the admissible interval "
-            f"({d.c_max_abs:.6g}, 1)"
+            f"({c_norm:.6g}, 1)"
         )
     return cfg.r
+
+
+def choose_r(d, cfg):
+    """Resolve the contour radius of a gamma sum (see _radius)."""
+    return _radius(d.c_max_abs, cfg)
 
 
 def integrand(phi, x, d, r, tol=1e-10):
@@ -205,8 +213,8 @@ def integrand(phi, x, d, r, tol=1e-10):
         raise DomainError(f"integrand requires x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    y = r * cmath.exp(1j * phi)
-    g, _, _ = _series_value(d.alpha_total, d.v * x, y, tol)
+    coeffs, _ = _geometric_coefficients(d.alpha_total, d.v * x, r, tol)
+    g = complex(_horner(coeffs, np.array([r * cmath.exp(1j * phi)]))[0])
     w = cmath.exp(-1j * phi) / r
     logprod = 0.0 + 0.0j
     for aj, cj in zip(d.alphas, d.c):
@@ -217,41 +225,32 @@ def integrand(phi, x, d, r, tol=1e-10):
 def _paired_coefficients(d, vx, tol):
     """Gamma CDF coefficients truncated by the paired-series bound.
 
-    The quadrature value equals prefactor * sum_n b_n P(alpha+n, vx)
-    exactly, with |b_n| dominated by the coefficients beta_n of
-    (1 - c_max z)^-alpha_total. Truncating the P stream at N therefore
-    changes the final value by at most
+    Both the quadrature and the series route compute
+    prefactor * sum_n b_n P(alpha+n, vx), with |b_n| dominated by the
+    coefficients beta_n of (1 - c_max z)^-alpha_total. Truncating the
+    P sequence at N therefore changes the value by at most
 
-        prefactor * beta_(N+1) * P(alpha+N+1, vx) / (1 - q_N),
+        prefactor * beta_N * P(alpha+N, vx) / (1 - q_N),
 
-    q_N bounding the beta ratio past N. The bound is independent of r,
-    so one coefficient array serves every node and every level.
+    q_N = c_max max(1, (alpha+N)/(N+1)) bounding the beta ratio past N.
+    While q_N >= 1 the cruder prefactor * (1 - c_max)^-alpha_total
+    * P(alpha+N, vx), from sum_n beta_n = (1 - c_max)^-alpha_total,
+    stands in. The bound does not depend on r, so one coefficient array
+    serves every node and every level. Returns the coefficients and the
+    bound at N, which is below tol.
     """
-    if vx <= 0.0:
-        return np.array([0.0])
     atot = d.alpha_total
     cmax = d.c_max_abs
-    pref = math.exp(d.log_prefactor)
-    stream = _cdf_coefficient_stream(atot, vx)
-    first, _ = next(stream)
-    coeffs = [first]
-    beta_next = cmax * atot
-    n = 0
-    while True:
-        p_next, p_cap = next(stream)
-        q = cmax * max(1.0, (atot + n + 1.0) / (n + 2.0))
-        if q < 1.0 and pref * beta_next * p_cap / (1.0 - q) < 0.1 * tol:
-            return np.asarray(coeffs)
-        if p_cap <= 1e-300:
-            return np.asarray(coeffs)
-        coeffs.append(p_next)
-        n += 1
-        beta_next *= cmax * (atot + n) / (n + 1.0)
-        if n > _COEFF_CAP:
-            raise ConvergenceError(
-                "coefficient truncation bound was not reached; the scale "
-                "ratio is too extreme for the requested tolerance"
-            )
+    crude = d.log_prefactor - atot * math.log1p(-cmax)
+
+    def log_weight(n):
+        log_beta = np.log(cmax * (atot + n - 1.0) / n).cumsum()
+        q = cmax * np.maximum(1.0, (atot + n) / (n + 1.0))
+        ok = q < 1.0
+        paired = d.log_prefactor + log_beta - np.log1p(-np.where(ok, q, 0.0))
+        return np.where(ok, paired, crude)
+
+    return _gamma_tail_coefficients(atot, vx, log_weight, tol)
 
 
 def _level_value(n, r, pref, alphas, cs, coeffs):
@@ -267,7 +266,7 @@ def _level_value(n, r, pref, alphas, cs, coeffs):
 
 def _refinement_levels(d, x, r, cfg):
     """Yield (n, level value) for n = n_start, 2 n_start, ... up to n_max."""
-    coeffs = _paired_coefficients(d, d.v * x, cfg.tol)
+    coeffs, _ = _paired_coefficients(d, d.v * x, 0.1 * cfg.tol)
     pref = math.exp(d.log_prefactor)
     alphas = np.asarray(d.alphas)
     cs = np.asarray(d.c)
@@ -275,10 +274,34 @@ def _refinement_levels(d, x, r, cfg):
         "levels: k=%d alpha_total=%.6g c_max=%.6g r=%.6g coeffs=%d",
         len(d.alphas), d.alpha_total, d.c_max_abs, r, len(coeffs),
     )
-    n = cfg.n_start
-    while n <= cfg.n_max:
+    for n in _doublings(cfg.n_start, cfg.n_max):
         yield n, _level_value(n, r, pref, alphas, cs, coeffs)
+
+
+def _doublings(n_start, n_cap):
+    """n_start, 2 n_start, 4 n_start, ... up to n_cap."""
+    n = n_start
+    while n <= n_cap:
+        yield n
         n *= 2
+
+
+def _refine(levels, r, tol, failure):
+    """Two-level stop: the first (n, value) level within tol of the one
+    before, as a CdfEstimate; if none, ConvergenceError(failure) carrying
+    the last level."""
+    prev = None
+    err = math.inf
+    n_last = 0
+    for n, val in levels:
+        if prev is not None:
+            err = abs(val - prev)
+            if err <= tol:
+                return CdfEstimate(min(1.0, max(0.0, val)), val, err, n, r)
+        prev = val
+        n_last = n
+    est = CdfEstimate(min(1.0, max(0.0, prev)), prev, err, n_last, r)
+    raise ConvergenceError(failure, estimate=est)
 
 
 def cdf(p, x, cfg=None):
@@ -308,20 +331,11 @@ def cdf(p, x, cfg=None):
     if d.c_max_abs == 0.0:
         val = reg_lower_gamma(d.alpha_total, x / p.lambdas[0])
         return CdfEstimate(val, val, 0.0, 0, r)
-    prev = None
-    err = math.inf
-    n_last = 0
-    for n, val in _refinement_levels(d, x, r, cfg):
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= cfg.tol:
-                return CdfEstimate(min(1.0, max(0.0, val)), val, err, n, r)
-        prev = val
-        n_last = n
-    est = CdfEstimate(min(1.0, max(0.0, prev)), prev, err, n_last, r)
-    raise ConvergenceError(
+    return _refine(
+        _refinement_levels(d, x, r, cfg),
+        r,
+        cfg.tol,
         f"quadrature did not reach tol={cfg.tol:.3g} within n_max={cfg.n_max}",
-        estimate=est,
     )
 
 

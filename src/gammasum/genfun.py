@@ -4,8 +4,13 @@ For |y| < 1 the coefficients P(a+n, x) lie in [0, 1] and decrease in n,
 so the series converges at least geometrically and its truncation error
 is bounded by the next coefficient times the geometric tail of |y|.
 
-Three independent evaluators are provided. ``g_series`` sums the series
-directly with a stable coefficient recurrence and is the one used on hot
+Every coefficient sequence P(a+n, x) in the package comes from one
+kernel, ``_gamma_tail_coefficients``, truncated by a caller's tail
+weight: the geometric weight of a circle |y| = r here, the paired
+weight of the gamma-sum CDF in ``core``.
+
+Three independent evaluators are provided. ``g_series`` evaluates the
+truncated series by Horner's rule and is the one used on hot
 paths. ``g_closed`` and ``g_closed_alt`` evaluate two closed forms built
 on the analytically continued incomplete gamma function; they exist to
 cross-check ``g_series`` and are deliberately kept on a different code
@@ -31,8 +36,7 @@ from .special import (
     reg_lower_gamma,
 )
 
-_MAX_TERMS_DEFAULT = 10000
-_HARD_CAP = 200000
+_TERM_CAP = 200000
 
 
 @dataclass(frozen=True)
@@ -48,81 +52,67 @@ class GfunResult:
     tail_bound: float
 
 
-def _cdf_coefficient_stream(a, x):
-    """Yield (P(a+n, x), cap) pairs for n = 0, 1, 2, ... indefinitely.
+def _gamma_tail_coefficients(a, x, log_weight, tol, max_terms=_TERM_CAP):
+    """P(a+n, x) for n < N, and the tail bound w(N) P(a+N, x).
 
-    Uses the upward recurrence P(a+n+1, x) = P(a+n, x) - t_n with
-    t_n = x^(a+n) e^(-x) / Gamma(a+n+1). The subtraction loses at most a
-    few ulps of P(a, x) in absolute terms, which is what CDF accuracy
-    needs, but it also stalls near that roundoff floor instead of
-    decaying to zero. cap is a stall-free upper bound on the true
-    coefficient, t_n / (1 - x/(a+n+1)) once a+n+1 > x, built from the
-    multiplicative t recurrence that underflows cleanly; truncation
-    decisions must use cap, not the coefficient itself.
+    N is the first n >= 1 with w(n) P(a+n, x) < tol; log_weight maps
+    the index array 1, 2, ..., m-1 to log w(n).
+
+    Each coefficient is the backward sum P(a+n, x) = sum_(n<=j<m) t_j
+    + P(a+m, x) of the positive terms t_j = x^(a+j) e^(-x) / Gamma(a+j+1)
+    (Gautschi, ACM TOMS 5, 1979), so it is accurate relative to itself
+    however small it is. The terms are scaled by the largest one, t_top
+    at top = round(x - a), and built by ratios outward from it, so only
+    negligible ones underflow; the comparison with tol is made in log
+    space.
+
+    Raises:
+        ConvergenceError: if N would exceed max_terms.
     """
-    coef = reg_lower_gamma(a, x)
-    t = 0.0 if x == 0.0 else math.exp(_log_front(a, x)) / a
-    n = 0
+    if x == 0.0:
+        return np.zeros(1), 0.0
+    peak = max(0, int(round(x - a)))
+    m = min(peak + 32 + int(10.0 * math.sqrt(x)), max_terms + 1)
+    log_tol = math.log(tol) if tol > 0.0 else -math.inf
     while True:
-        denom = a + n + 1.0
-        cap = min(coef, t / (1.0 - x / denom)) if denom > x else coef
-        yield coef, cap
-        coef -= t
-        if coef < 0.0:
-            coef = 0.0
-        n += 1
-        t *= x / (a + n)
-
-
-def _series_value(a, x, y, tol):
-    """Partial sum of the generating series, truncated by the geometric
-    tail bound P(a+N+1, x) |y|^(N+1) / (1 - |y|) < tol. Requires |y| < 1
-    but imposes no further cap; used internally where the contour radius
-    may approach 1."""
-    absy = abs(y)
-    if absy >= 1.0:
-        raise DomainError("series evaluation requires |y| < 1")
-    stream = _cdf_coefficient_stream(a, x)
-    coef, _ = next(stream)
-    total = 0.0 + 0.0j
-    ypow = 1.0 + 0.0j
-    apow = absy
-    geom = 1.0 / (1.0 - absy)
-    n = 0
-    while True:
-        total += coef * ypow
-        coef, cap = next(stream)
-        bound = cap * apow * geom
-        if bound < tol or cap <= 1e-300:
-            return total, n + 1, bound
-        n += 1
-        if n >= _HARD_CAP:
+        top = min(peak, m - 1)
+        idx = np.arange(1.0, m)
+        # u_j = t_j / t_top from the ratios t_j / t_(j-1) = x / (a + j)
+        u = np.empty(m)
+        u[top] = 1.0
+        u[top + 1 :] = (x / (a + idx[top:])).cumprod()
+        u[:top] = ((a + idx[:top]) / x)[::-1].cumprod()[::-1]
+        log_top = _log_front(a + top, x) - math.log(a + top)
+        seed = reg_lower_gamma(a + m, x)
+        log_seed = math.log(seed) if seed > 0.0 else -math.inf
+        shift = max(log_top, log_seed)
+        sums = u[::-1].cumsum()[::-1] * math.exp(log_top - shift)
+        sums += math.exp(log_seed - shift)
+        with np.errstate(divide="ignore"):
+            crit = log_weight(idx) + np.log(sums[1:]) + shift
+        below = crit < log_tol
+        stop = int(below.argmax()) + 1
+        if below[stop - 1]:
+            coeffs = np.minimum(sums[:stop] * math.exp(shift), 1.0)
+            return coeffs, math.exp(crit[stop - 1])
+        if m > max_terms:
             raise ConvergenceError(
-                f"generating series needed more than {_HARD_CAP} terms"
+                f"coefficient truncation needed more than {max_terms} terms"
             )
-        ypow *= y
-        apow *= absy
+        m = min(2 * m, max_terms + 1)
 
 
-def _geometric_coefficients(a, x, absy, tol):
-    """Coefficients P(a+n, x) truncated so that the geometric tail bound
-    at radius absy stays below tol. Returns a float array for vectorized
-    polynomial evaluation over many points on the circle |y| = absy."""
-    if absy >= 1.0:
+def _geometric_coefficients(a, x, r, tol, max_terms=_TERM_CAP):
+    """Coefficients P(a+n, x) and their tail bound under the geometric
+    weight r^n / (1 - r), which bounds sum_(j>=n) |y|^j P(a+j, x) / P(a+n, x)
+    on the circle |y| = r < 1 because the coefficients decrease in n."""
+    if r >= 1.0:
         raise DomainError("coefficient truncation requires |y| < 1")
-    stream = _cdf_coefficient_stream(a, x)
-    first, _ = next(stream)
-    coeffs = [first]
-    apow = absy
-    geom = 1.0 / (1.0 - absy)
-    while True:
-        nxt, cap = next(stream)
-        if cap * apow * geom < tol or cap <= 1e-300:
-            return np.asarray(coeffs)
-        coeffs.append(nxt)
-        apow *= absy
-        if len(coeffs) > _HARD_CAP:
-            raise ConvergenceError("coefficient truncation bound was not reached")
+    log_r = math.log(r) if r > 0.0 else -math.inf
+    scale = -math.log1p(-r)
+    return _gamma_tail_coefficients(
+        a, x, lambda n: n * log_r + scale, tol, max_terms
+    )
 
 
 def _horner(coeffs, y):
@@ -133,8 +123,12 @@ def _horner(coeffs, y):
     return acc
 
 
-def g_series(a, x, y, tol=1e-12, max_terms=_MAX_TERMS_DEFAULT):
+def g_series(a, x, y, tol=1e-12, max_terms=10000):
     """Direct summation of G(a; x, y) = sum_n P(a+n, x) y^n.
+
+    The coefficients come from the backward-summation kernel and are
+    truncated at the first N with P(a+N, x) |y|^N / (1 - |y|) < tol;
+    the series is then evaluated by Horner's rule.
 
     Args:
         a: shape, a > 0.
@@ -162,27 +156,8 @@ def g_series(a, x, y, tol=1e-12, max_terms=_MAX_TERMS_DEFAULT):
         raise DomainError("g_series requires |y| <= 1 - 1e-6")
     if tol < 1e-15:
         raise DomainError("g_series requires tol >= 1e-15")
-    absy = abs(y)
-    stream = _cdf_coefficient_stream(a, x)
-    coef, _ = next(stream)
-    total = 0.0 + 0.0j
-    ypow = 1.0 + 0.0j
-    apow = absy
-    geom = 1.0 / (1.0 - absy) if absy > 0.0 else 0.0
-    n = 0
-    while True:
-        total += coef * ypow
-        coef, cap = next(stream)
-        bound = cap * apow * geom
-        if bound < tol or cap <= 1e-300:
-            return GfunResult(total, n + 1, bound)
-        n += 1
-        if n >= max_terms:
-            raise ConvergenceError(
-                f"g_series needed more than {max_terms} terms for |y| = {absy:.6g}"
-            )
-        ypow *= y
-        apow *= absy
+    coeffs, bound = _geometric_coefficients(a, x, abs(y), tol, max_terms)
+    return GfunResult(complex(_horner(coeffs, np.array([y]))[0]), coeffs.size, bound)
 
 
 def g_closed(a, x, y, tol=1e-12):

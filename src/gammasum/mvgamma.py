@@ -17,7 +17,7 @@ The determinant power needs a continuous branch of log det. Because
 every eigenvalue mu of C Y^-1 satisfies |mu| <= |C|/r < 1, each factor
 1 - mu stays in the right half-plane and the sum of principal logs is
 already continuous; the code still cross-checks that branch choice
-against an independent pivoted-LU determinant at every evaluation and
+against an independently computed determinant at every evaluation and
 raises BranchTrackingError on any mismatch.
 
 Practical dimension is p <= 3 (hard cap 4); per-axis node counts are
@@ -33,11 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CdfEstimate, QuadratureConfig
+from .core import CdfEstimate, QuadratureConfig, _doublings, _radius, _refine
 from .errors import (
     BranchTrackingError,
     ConfigError,
-    ConvergenceError,
     DomainError,
     NormalizationError,
 )
@@ -147,35 +146,6 @@ def mv_derive(p):
     return MvDerived(p.alpha, v, c, norm, log_pref)
 
 
-def _choose_r(d, cfg):
-    if cfg.r is None:
-        return 0.5 * (1.0 + d.spectral_norm_c)
-    if not (d.spectral_norm_c < cfg.r < 1.0):
-        raise ConfigError(
-            f"r = {cfg.r!r} outside the admissible interval "
-            f"({d.spectral_norm_c:.6g}, 1)"
-        )
-    return cfg.r
-
-
-def _lu_det(m):
-    """Determinant of a small complex matrix by partial-pivot elimination."""
-    a = np.array(m, dtype=complex)
-    n = a.shape[0]
-    det = 1.0 + 0.0j
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[piv, k] == 0.0:
-            return 0.0 + 0.0j
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            det = -det
-        det *= a[k, k]
-        if k + 1 < n:
-            a[k + 1 :, k:] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k:])
-    return det
-
-
 def _logdet_factors(mu, det_direct):
     """Continuous log det(I - B) from eigenvalues mu of B, checked
     against an independently computed determinant.
@@ -215,9 +185,8 @@ def mv_integrand(phis, xs, d, r, tol=1e-10):
         raise ConfigError(f"r = {r!r} outside ({d.spectral_norm_c:.6g}, 1)")
     y = r * np.exp(1j * phis)
     b = d.c_matrix.entries / y[None, :]
-    det_lu = _lu_det(np.eye(p) - b)
     mu = np.linalg.eigvals(b)
-    logdet = complex(_logdet_factors(mu, det_lu))
+    logdet = complex(_logdet_factors(mu, np.linalg.det(np.eye(p) - b)))
     g = 1.0 + 0.0j
     for k in range(p):
         g *= g_eval(d.alpha, d.v * xs[k], complex(y[k]), tol)
@@ -242,7 +211,7 @@ def _grid_value(d, xs, r, n, tol):
     phis = -math.pi + (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     y_ax = r * np.exp(1j * phis)
     g_ax = [
-        _horner(_geometric_coefficients(alpha, d.v * x, r, eps_axis), y_ax)
+        _horner(_geometric_coefficients(alpha, d.v * x, r, eps_axis)[0], y_ax)
         for x in xs
     ]
     c = d.c_matrix.entries
@@ -329,7 +298,7 @@ def mv_cdf(p, xs, cfg=None):
     if not all(math.isfinite(x) for x in xs):
         raise DomainError("xs must be finite")
     d = mv_derive(p)
-    r = _choose_r(d, cfg)
+    r = _radius(d.spectral_norm_c, cfg)
     if min(xs) <= 0.0:
         return CdfEstimate(0.0, 0.0, 0.0, 0, r)
     if d.spectral_norm_c == 0.0:
@@ -339,22 +308,14 @@ def mv_cdf(p, xs, cfg=None):
         return CdfEstimate(val, val, 0.0, 0, r)
     _ensure_normalization()
     n_cap = min(cfg.n_max, _AXIS_NODE_CAP)
-    prev = None
-    err = math.inf
-    n_last = 0
-    n = cfg.n_start
-    while n <= n_cap:
-        val = _grid_value(d, xs, r, n, cfg.tol)
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= cfg.tol:
-                return CdfEstimate(min(1.0, max(0.0, val)), val, err, n, r)
-        prev = val
-        n_last = n
-        n *= 2
-    est = CdfEstimate(min(1.0, max(0.0, prev)), prev, err, n_last, r)
-    raise ConvergenceError(
+    levels = (
+        (n, _grid_value(d, xs, r, n, cfg.tol))
+        for n in _doublings(cfg.n_start, n_cap)
+    )
+    return _refine(
+        levels,
+        r,
+        cfg.tol,
         f"tensor quadrature did not reach tol={cfg.tol:.3g} within "
         f"{n_cap} nodes per axis",
-        estimate=est,
     )

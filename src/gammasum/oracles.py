@@ -16,12 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_params
-from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError
-from .genfun import _cdf_coefficient_stream
+from .core import _paired_coefficients, derive_params
+from .errors import DomainError, NotPositiveDefiniteError
 from .special import reg_lower_gamma
-
-_SERIES_CAP = 100000
 
 # Simulation chunk height: keeps the working set around a few hundred MB
 # at most while producing streams bit-identical to one monolithic draw.
@@ -73,58 +70,26 @@ def series_coefficients(d, n_terms):
 def series_cdf(p, x, tol=1e-10):
     """Series-route CDF value for the same sum-of-gammas model as core.cdf.
 
-    Terminates when the dominating tail
+    Pairs the Taylor coefficients b_n of series_coefficients with the
+    coefficients P(alpha+n, vx) of core._paired_coefficients, truncated
+    where the dominating tail bound, returned as tail_bound, drops below
+    tol.
 
-        prefactor * beta_(N+1) * P(alpha+N+1, vx) / (1 - q_N)
-
-    drops below tol, where beta_n are the coefficients of
-    (1 - c_max y)^-alpha_total and q_N bounds their ratio past N; if the
-    ratio bound is not yet below one the cruder geometric-free bound
-    prefactor * P(alpha+N+1, vx) * (1 - c_max)^-alpha_total is used.
-    The returned tail_bound is the bound at acceptance.
+    Raises:
+        ConvergenceError: if N would exceed the package's term cap.
     """
     if not (x >= 0.0) or not math.isfinite(x):
         if x < 0.0:
             return SeriesResult(0.0, 0, 0.0)
         raise DomainError(f"series_cdf requires finite x, got {x!r}")
     d = derive_params(p)
-    if x == 0.0:
-        return SeriesResult(0.0, 1, 0.0)
-    atot = d.alpha_total
     vx = d.v * x
     pref = math.exp(d.log_prefactor)
     if d.c_max_abs == 0.0:
-        val = pref * reg_lower_gamma(atot, vx)
-        return SeriesResult(val, 1, 0.0)
-    cmax = d.c_max_abs
-    alphas = np.asarray(d.alphas)
-    cs = np.asarray(d.c)
-    stream = _cdf_coefficient_stream(atot, vx)
-    total, _ = next(stream)
-    b = [1.0]
-    s = [0.0]
-    cp = np.ones_like(cs)
-    beta_next = cmax * atot
-    n = 0
-    while n <= _SERIES_CAP:
-        p_next, p_cap = next(stream)
-        q = cmax * max(1.0, (atot + n + 1.0) / (n + 2.0))
-        if q < 1.0:
-            tail = pref * beta_next * p_cap / (1.0 - q)
-        else:
-            tail = pref * p_cap * (1.0 - cmax) ** (-atot)
-        if tail < tol:
-            return SeriesResult(pref * total, n + 1, tail)
-        cp = cp * cs
-        s.append(float(alphas @ cp))
-        b_next = math.fsum(s[m] * b[n + 1 - m] for m in range(1, n + 2)) / (n + 1)
-        b.append(b_next)
-        total += b_next * p_next
-        n += 1
-        beta_next *= cmax * (atot + n) / (n + 1.0)
-    raise ConvergenceError(
-        f"series tail bound did not reach tol={tol:.3g} within {_SERIES_CAP} terms"
-    )
+        return SeriesResult(pref * reg_lower_gamma(d.alpha_total, vx), 1, 0.0)
+    coeffs, tail = _paired_coefficients(d, vx, tol)
+    b = series_coefficients(d, coeffs.size)
+    return SeriesResult(pref * math.fsum((b * coeffs).tolist()), coeffs.size, tail)
 
 
 def _gamma_variates(rng, shape, n):

@@ -26,6 +26,8 @@ REF_INTEGRAND = 0.24893482364401567024  # alphas (1,1), lambdas (1,3), x=2, phi=
 REF_CDF_TWO = 0.29754196306941830564  # alphas (1,1), lambdas (1,3), x=2
 REF_CDF_MIXED = 0.29871216637449169898  # alphas (.7,1.3,2), lambdas (.5,1,4), x=6
 REF_HYPOEXP = 0.3995764008937280487  # lambdas (1,2), x=2
+# shapes 2, scales linspace(0.1, 10, 20), x = 200 (ROADMAP reproducer)
+REF_K20 = 0.5058814851703638968
 
 
 def test_params_validation():
@@ -227,6 +229,15 @@ def test_cdf_nonconvergence_carries_estimate():
     assert isinstance(est, CdfEstimate)
     assert est.nodes_used == 32
     assert est.err_estimate > 1e-14
+
+
+def test_cdf_k20_reproducer_estimate_is_accurate():
+    # the quadrature still misses tol within n_max, but the estimate it
+    # carries is built from accurate coefficients
+    p = GammaSumParams((2.0,) * 20, np.linspace(0.1, 10.0, 20))
+    with pytest.raises(ConvergenceError) as info:
+        cdf(p, 200.0)
+    assert abs(info.value.estimate.value - REF_K20) <= 1e-9
 
 
 def test_quantile_round_trip():

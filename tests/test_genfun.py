@@ -9,10 +9,9 @@ import pytest
 from gammasum.errors import ConvergenceError, DomainError
 from gammasum.genfun import (
     GfunResult,
-    _cdf_coefficient_stream,
+    _gamma_tail_coefficients,
     _geometric_coefficients,
     _horner,
-    _series_value,
     g_at_one,
     g_closed,
     g_closed_alt,
@@ -60,44 +59,76 @@ def test_tail_bound_is_honest():
         assert abs(loose.value - tight.value) <= loose.tail_bound + 1e-15
 
 
-def test_coefficient_stream_matches_direct_cdf():
-    stream = _cdf_coefficient_stream(1.37, 4.2)
+def _unit_weight(n):
+    return np.zeros(n.shape)
+
+
+def test_tail_coefficients_match_direct_cdf():
+    coeffs, bound = _gamma_tail_coefficients(1.37, 4.2, _unit_weight, 1e-300)
+    assert coeffs.size > 30 and 0.0 <= bound < 1e-300
     for n in range(30):
-        got, cap = next(stream)
-        want = reg_lower_gamma(1.37 + n, 4.2)
-        assert abs(got - want) <= 1e-12, n
-        # cap is an upper bound on the true coefficient up to the stream's
-        # absolute accuracy, never above the computed value
-        assert cap <= got + 1e-300, n
-        assert cap >= want - 1e-12, n
+        assert abs(coeffs[n] - reg_lower_gamma(1.37 + n, 4.2)) <= 1e-12, n
+    rng = np.random.default_rng(37)
+    for _ in range(100):
+        a = float(rng.uniform(0.3, 6.0))
+        x = float(rng.uniform(0.0, 30.0))
+        coeffs, _ = _geometric_coefficients(a, x, 0.9, 1e-15)
+        for n in range(min(30, coeffs.size)):
+            assert abs(coeffs[n] - reg_lower_gamma(a + n, x)) <= 1e-12, (a, x, n)
 
 
-def test_coefficient_stream_cap_decays_past_stall():
-    # the subtractive recurrence stalls near 1e-16 absolute; the cap must
-    # keep shrinking so near-unit |y| truncation still terminates
-    stream = _cdf_coefficient_stream(0.75, 13.4)
-    caps = [next(stream)[1] for _ in range(400)]
-    assert caps[-1] == 0.0
-    first_zero = caps.index(0.0)
-    assert first_zero < 120
-    assert all(c == 0.0 for c in caps[first_zero:])
+def test_tail_coefficients_relative_accuracy():
+    # 20-digit mpmath values, frozen (tests/tools/make_references.py).
+    # At x = 1010, exp(-x) underflows; at n = 90 the coefficient sits
+    # three orders below the roundoff floor of P(10, 34.5).
+    cases = {
+        (40.0, 1010.0): {
+            0: 1.0,
+            1000: 0.17644522077835822514,
+            1200: 1.5181349946901832737e-12,
+        },
+        (10.0, 34.5): {
+            78: 1.9397586501950095755e-14,
+            90: 1.0212432660531124989e-19,
+        },
+    }
+    for (a, x), want in cases.items():
+        coeffs, _ = _gamma_tail_coefficients(a, x, _unit_weight, 1e-250)
+        for n, ref in want.items():
+            assert abs(coeffs[n] - ref) <= 1e-11 * ref, (a, x, n)
 
 
-def test_coefficient_stream_termwise_identity():
+def test_tail_coefficients_termwise_identity():
     # P(a+n-1, x) - P(a+n, x) = x^(a+n-1) e^-x / Gamma(a+n)
     rng = np.random.default_rng(13)
     for _ in range(40):
         a = float(rng.uniform(0.3, 5.0))
         x = float(rng.uniform(0.05, 20.0))
-        stream = _cdf_coefficient_stream(a, x)
-        prev, _ = next(stream)
+        coeffs, _ = _gamma_tail_coefficients(a, x, _unit_weight, 1e-100)
         for n in range(1, 15):
-            cur, _ = next(stream)
             want = math.exp(
                 (a + n - 1.0) * math.log(x) - x - math.lgamma(a + n)
             )
-            assert abs((prev - cur) - want) <= 1e-12, (a, x, n)
-            prev = cur
+            assert abs((coeffs[n - 1] - coeffs[n]) - want) <= 1e-12, (a, x, n)
+
+
+def test_coefficient_stream_cap_decays_past_stall():
+    # the coefficients keep decaying far past the roundoff floor of P(a, x),
+    # so truncation at a radius just below one still stops
+    coeffs, bound = _geometric_coefficients(0.75, 13.4, 0.9999995, 1e-10)
+    assert 0 < coeffs.size < 120 and 0.0 <= bound < 1e-10
+    assert np.all(np.diff(coeffs) <= 0.0)
+    with pytest.raises(ConvergenceError):
+        _gamma_tail_coefficients(1.0, 25.0, _unit_weight, 1e-15, max_terms=5)
+
+
+def test_internal_series_accepts_radii_near_one():
+    # The package-private evaluator has no 1 - 1e-6 cap; the public one does.
+    coeffs, bound = _geometric_coefficients(1.0, 2.0, 0.9999995, 1e-10)
+    assert 0 < coeffs.size < 120 and 0.0 <= bound < 1e-10
+    assert _horner(coeffs, np.array([0.9999995 + 0j]))[0].imag == 0.0
+    with pytest.raises(DomainError):
+        _geometric_coefficients(1.0, 2.0, 1.0, 1e-10)
 
 
 def test_series_monotone_bound():
@@ -190,24 +221,19 @@ def test_domain_validation():
         g_series(1.0, 25.0, 0.9999 * cmath.exp(0.3j), tol=1e-15, max_terms=5)
 
 
-def test_internal_series_accepts_radii_near_one():
-    # The package-private evaluator has no 1 - 1e-6 cap; the public one does.
-    val, terms, bound = _series_value(1.0, 2.0, 0.9999995, 1e-10)
-    assert terms > 0 and bound >= 0.0
-    assert abs(val.imag) == 0.0
-
-
 def test_geometric_coefficients_and_horner_match_series():
     rng = np.random.default_rng(31)
     for _ in range(30):
         a = float(rng.uniform(0.3, 5.0))
         x = float(rng.uniform(0.1, 15.0))
         r = float(rng.uniform(0.2, 0.95))
-        coeffs = _geometric_coefficients(a, x, r, 1e-13)
+        coeffs, bound = _geometric_coefficients(a, x, r, 1e-13)
+        assert bound < 1e-13
+        direct_coeffs = [reg_lower_gamma(a + n, x) for n in range(coeffs.size + 400)]
         thetas = rng.uniform(-math.pi, math.pi, size=8)
         ys = r * np.exp(1j * thetas)
         direct = np.array(
-            [_series_value(a, x, complex(yv), 1e-16)[0] for yv in ys]
+            [sum(c * yv**n for n, c in enumerate(direct_coeffs)) for yv in ys]
         )
         assert np.abs(_horner(coeffs, ys) - direct).max() <= 1e-12
 

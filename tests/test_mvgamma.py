@@ -18,7 +18,6 @@ from gammasum.mvgamma import (
     MvGammaParams,
     _grid_value,
     _logdet_factors,
-    _lu_det,
     _NORMALIZATION_STATE,
     existence_caveat,
     mv_cdf,
@@ -90,17 +89,6 @@ def test_mv_derive_norm_invariant():
         want = (w.max() - w.min()) / (w.max() + w.min())
         assert abs(d.spectral_norm_c - want) <= 1e-12
         assert d.spectral_norm_c < 1.0
-
-
-def test_lu_det_matches_numpy():
-    rng = np.random.default_rng(107)
-    for _ in range(30):
-        n = int(rng.integers(1, 5))
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        got = _lu_det(m)
-        want = np.linalg.det(m)
-        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-    assert _lu_det(np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)) == 0.0
 
 
 def test_logdet_factors_guards():

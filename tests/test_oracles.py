@@ -28,6 +28,10 @@ from helpers import (
 REF_CDF_MIXED = 0.29871216637449169898  # alphas (.7,1.3,2), lambdas (.5,1,4), x=6
 REF_KIBBLE = 0.63203702656483023935  # alpha=1, sigma [[2,1],[1,2]], xs (3,3)
 REF_QFORM = 0.73579039417115306031  # sigma [[2,1],[1,2]], c diag(1,3), x=10
+# ROADMAP reproducers at x = 200; mpmath Gil-Pelaez inversion (and, for
+# k = 20, the 50-digit series), tests/tools/make_references.py
+REF_K20 = 0.5058814851703638968  # shapes 2, scales linspace(0.1, 10, 20)
+REF_K50 = 0.98739615410037707413  # shapes 0.5, scales linspace(0.01, 10, 50)
 
 
 def test_series_coefficients_match_brute_force():
@@ -82,6 +86,19 @@ def test_series_cdf_tail_bound_is_honest():
         tight = series_cdf(p, x, tol=1e-13)
         assert abs(loose.value - tight.value) <= loose.tail_bound + 1e-15
         assert loose.tail_bound <= 1e-5
+
+
+@pytest.mark.parametrize(
+    "k, shape, lo, want",
+    [(20, 2.0, 0.1, REF_K20), (50, 0.5, 0.01, REF_K50)],
+    ids=["k20", "k50"],
+)
+def test_series_cdf_roadmap_reproducers(k, shape, lo, want):
+    # full size: the coefficients P(alpha+n, vx) reach n ~ 1.1e4 at k = 50
+    p = GammaSumParams((shape,) * k, np.linspace(lo, 10.0, k))
+    res = series_cdf(p, 200.0)
+    assert abs(res.value - want) <= res.tail_bound + 1e-12
+    assert abs(res.value - want) <= 1e-9
 
 
 def test_series_cdf_hypoexponential():

@@ -9,6 +9,7 @@ into the tests by hand. Rerun after editing to confirm the constants.
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -44,19 +45,19 @@ def gamma_sum_cdf_series(alphas, lambdas, x, tol=mp.mpf("1e-36")):
     atot = sum(alphas)
     pref = v**-atot * mp.fprod(l**-a for a, l in zip(alphas, lambdas))
     # log-derivative recurrence for the Taylor coefficients of
-    # prod_j (1 - c_j z)^{-alpha_j}
+    # prod_j (1 - c_j z)^{-alpha_j}: n b_n = sum_m s_m b_{n-m} with the
+    # power sums s_m = sum_j alpha_j c_j^m, kept as they are produced
     b = [mp.mpf(1)]
+    s = [mp.mpf(0)]
+    powers = list(c)
     total = pref * b[0] * P(atot, v * x)
     beta = mp.mpf(1)  # dominating coefficients of (1 - cmax z)^{-atot}
     n = 0
     while True:
         n += 1
-        s = sum(aj * cj**n for aj, cj in zip(alphas, c))
-        # s_m needs every lower power sum; recompute directly (dev tool)
-        bn = sum(
-            sum(aj * cj**m for aj, cj in zip(alphas, c)) * b[n - m]
-            for m in range(1, n + 1)
-        ) / n
+        s.append(mp.fdot(alphas, powers))
+        powers = [p * cj for p, cj in zip(powers, c)]
+        bn = mp.fdot(s[1:], b[::-1]) / n
         b.append(bn)
         total += pref * bn * P(atot + n, v * x)
         beta = beta * cmax * (atot + n - 1) / n
@@ -65,6 +66,29 @@ def gamma_sum_cdf_series(alphas, lambdas, x, tol=mp.mpf("1e-36")):
             return total
         if n > 5000:
             raise RuntimeError("series reference did not converge")
+
+
+def gil_pelaez_cdf(alphas, lambdas, x, t_max):
+    """Gamma-convolution cdf by Gil-Pelaez inversion of the characteristic
+    function prod_j (1 - i lambda_j t)^{-alpha_j}, integrated over
+    (0, t_max] in half periods of e^{-itx}; shares nothing with the
+    series. t_max must be where |phi(t)| has fallen below the precision
+    wanted."""
+    alphas = [mp.mpf(a) for a in alphas]
+    lambdas = [mp.mpf(l) for l in lambdas]
+    x = mp.mpf(x)
+
+    def integrand(t):
+        if t == 0:
+            return mp.fsum(a * l for a, l in zip(alphas, lambdas)) - x
+        log_phi = -mp.fsum(
+            a * mp.log(1 - mp.mpc(0, 1) * l * t) for a, l in zip(alphas, lambdas)
+        )
+        return mp.im(mp.exp(log_phi - mp.mpc(0, 1) * t * x)) / t
+
+    half = mp.pi / x
+    nodes = [half * j for j in range(int(t_max / half) + 2)]
+    return mp.mpf(1) / 2 - mp.quad(integrand, nodes) / mp.pi
 
 
 def show(label, value):
@@ -189,3 +213,20 @@ show(
         ["0.5", "0.5"], [4 - mp.sqrt(7), 4 + mp.sqrt(7)], 5
     ),
 )
+print()
+
+print("# gamma CDF coefficients P(a+n, x) at points where exp(-x) underflows")
+print("# or the coefficient sits below the roundoff floor of P(a, x)")
+for a, x, ns in ((40, 1010, (0, 1000, 1200)), (10, "34.5", (78, 90))):
+    for n in ns:
+        show(f"P({a}+{n}, {x})", P(a + n, mp.mpf(x)))
+print()
+
+print("# ROADMAP reproducers at x = 200, scales exactly np.linspace's doubles")
+k20 = ([2] * 20, [mp.mpf(float(l)) for l in np.linspace(0.1, 10.0, 20)])
+k50 = (["0.5"] * 50, [mp.mpf(float(l)) for l in np.linspace(0.01, 10.0, 50)])
+mp.mp.dps = 30
+show("k=20 shapes 2, Gil-Pelaez", gil_pelaez_cdf(*k20, 200, 3))
+show("k=50 shapes 0.5, Gil-Pelaez (takes minutes)", gil_pelaez_cdf(*k50, 200, 12))
+mp.mp.dps = 50
+show("k=20 shapes 2, series", gamma_sum_cdf_series(*k20, 200))
