@@ -3,7 +3,11 @@
 Single commands (gamma-sum, qform, mvgamma, quantile) funnel into the
 same job executor as the line-delimited batch mode, so an interactive
 invocation and the equivalent batch record produce byte-identical
-output. Results are JSON by default with a stable key set:
+output. Each of these commands is one entry of a command table: its
+params, its input parser and its routes by method (integral, series,
+mc). One executor checks a job's params and quadrature settings,
+dispatches it to the route and builds its record, for every command
+and method alike. Results are JSON by default with a stable key set:
 
     {command, input_echo, cdf | quantile, err_estimate, converged,
      r_used, nodes_used, warnings}
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import math
@@ -52,7 +55,6 @@ from .oracles import mc_cdf, mc_mvgamma, mc_qform, series_cdf
 from .qform import SymMatrix, qform_cdf
 from .special import reg_lower_gamma
 
-_COMMANDS = ("gamma-sum", "qform", "mvgamma", "quantile", "selfcheck")
 _FORMATS = ("json", "csv", "plain")
 _QUAD_KEYS = ("r", "n_start", "n_max", "tol")
 
@@ -108,11 +110,7 @@ class JobSpec:
 def _fmt15(v):
     """Round a float to 15 significant digits for printing; None for
     missing or non-finite values, integers passed through."""
-    if v is None:
-        return None
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
+    if v is None or isinstance(v, int):  # bool is an int
         return v
     v = float(v)
     if not math.isfinite(v):
@@ -134,10 +132,9 @@ def _parse_int(value, name):
     if isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
-        v = int(value)
+        return int(value)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{name} must be an integer, got {value!r}") from exc
-    return v
 
 
 def _parse_floats(value, name):
@@ -188,39 +185,20 @@ def _parse_matrix(value, name):
 
 
 def _quad_config(overrides):
-    kwargs = {}
-    if "r" in overrides and overrides["r"] is not None:
-        r = overrides["r"]
-        if isinstance(r, str):
-            if r.strip().lower() == "auto":
-                r = None
-            else:
-                r = _parse_float(r, "r")
-        kwargs["r"] = r
+    kwargs = {k: v for k, v in overrides.items() if v is not None}
+    r = kwargs.get("r")
+    if isinstance(r, str):
+        kwargs["r"] = None if r.strip().lower() == "auto" else _parse_float(r, "r")
     for key in ("n_start", "n_max"):
-        if key in overrides and overrides[key] is not None:
-            kwargs[key] = _parse_int(overrides[key], key)
-    if "tol" in overrides and overrides["tol"] is not None:
-        kwargs["tol"] = _parse_float(overrides["tol"], "tol")
+        if key in kwargs:
+            kwargs[key] = _parse_int(kwargs[key], key)
+    if "tol" in kwargs:
+        kwargs["tol"] = _parse_float(kwargs["tol"], "tol")
     return QuadratureConfig(**kwargs)
 
 
 def _matrix_echo(a):
     return [[_fmt15(x) for x in row] for row in np.asarray(a, dtype=float)]
-
-
-def _result_record(command, echo, key, value, err, converged, r_used, nodes,
-                   warnings):
-    return {
-        "command": command,
-        "input_echo": echo,
-        key: _fmt15(value),
-        "err_estimate": _fmt15(err),
-        "converged": bool(converged),
-        "r_used": _fmt15(r_used),
-        "nodes_used": nodes,
-        "warnings": list(warnings),
-    }
 
 
 def _error_record(command, echo, kind, message):
@@ -232,186 +210,168 @@ def _error_record(command, echo, kind, message):
     }
 
 
-def _run_gamma_sum(job):
-    p = job.params
-    allowed = {"alphas", "lambdas", "x", "method", "n_samples", "seed"}
-    extra = set(p) - allowed
-    if extra:
-        raise DomainError(f"unknown gamma-sum params: {sorted(extra)}")
-    for key in ("alphas", "lambdas", "x"):
-        if key not in p:
-            raise DomainError(f"gamma-sum requires {key!r}")
+def _parse_gamma_sum(p, point="x"):
+    """Gamma-sum model from params: ((GammaSumParams, point value), echo,
+    warnings). The quantile command reads its probability as the point."""
     alphas = _parse_floats(p["alphas"], "alphas")
     lambdas = _parse_floats(p["lambdas"], "lambdas")
-    x = _parse_float(p["x"], "x")
-    method = p.get("method", "integral")
+    at = _parse_float(p[point], point)
     params = GammaSumParams(alphas, lambdas)
     echo = {
         "alphas": [_fmt15(a) for a in params.alphas],
         "lambdas": [_fmt15(l) for l in params.lambdas],
-        "x": _fmt15(x),
-        "method": method,
+        point: _fmt15(at),
     }
-    if method == "integral":
-        cfg = _quad_config(job.quadrature)
-        try:
-            est = cdf(params, x, cfg)
-        except ConvergenceError as exc:
-            est = exc.estimate
-            if est is None:
-                raise
-            rec = _result_record(job.command, echo, "cdf", est.value,
-                                 est.err_estimate, False, est.r_used,
-                                 est.nodes_used, [str(exc)])
-            return rec, 3
-        rec = _result_record(job.command, echo, "cdf", est.value,
-                             est.err_estimate, True, est.r_used,
-                             est.nodes_used, [])
-        return rec, 0
-    if method == "series":
-        tol = _parse_float(job.quadrature.get("tol", 1e-10), "tol")
-        res = series_cdf(params, x, tol)
-        rec = _result_record(job.command, echo, "cdf", res.value,
-                             res.tail_bound, True, None, res.terms_used, [])
-        return rec, 0
-    if method == "mc":
-        n_samples = _parse_int(p.get("n_samples", 1000000), "n_samples")
-        seed = _parse_int(p.get("seed", 0), "seed")
-        echo["n_samples"] = n_samples
-        echo["seed"] = seed
-        res = mc_cdf(params, x, n_samples, seed)
-        rec = _result_record(job.command, echo, "cdf", res.estimate,
-                             res.std_error, True, None, res.n_samples, [])
-        return rec, 0
-    raise DomainError(f"unknown gamma-sum method {method!r}")
+    return (params, at), echo, []
 
 
-def _run_quantile(job):
-    p = job.params
-    allowed = {"alphas", "lambdas", "prob"}
-    extra = set(p) - allowed
-    if extra:
-        raise DomainError(f"unknown quantile params: {sorted(extra)}")
-    for key in allowed:
-        if key not in p:
-            raise DomainError(f"quantile requires {key!r}")
-    alphas = _parse_floats(p["alphas"], "alphas")
-    lambdas = _parse_floats(p["lambdas"], "lambdas")
-    prob = _parse_float(p["prob"], "prob")
-    params = GammaSumParams(alphas, lambdas)
-    cfg = _quad_config(job.quadrature)
-    echo = {
-        "alphas": [_fmt15(a) for a in params.alphas],
-        "lambdas": [_fmt15(l) for l in params.lambdas],
-        "prob": _fmt15(prob),
-    }
-    xq = quantile(params, prob, cfg)
-    check = cdf(params, xq, cfg)
-    rec = _result_record(job.command, echo, "quantile", xq,
-                         abs(check.value - prob), True, check.r_used,
-                         check.nodes_used, [])
-    return rec, 0
-
-
-def _run_qform(job):
-    p = job.params
-    allowed = {"sigma", "c", "x", "method", "n_samples", "seed"}
-    extra = set(p) - allowed
-    if extra:
-        raise DomainError(f"unknown qform params: {sorted(extra)}")
-    for key in ("sigma", "c", "x"):
-        if key not in p:
-            raise DomainError(f"qform requires {key!r}")
+def _parse_qform(p):
     sigma = _parse_matrix(p["sigma"], "sigma")
     cmat = _parse_matrix(p["c"], "c")
     x = _parse_float(p["x"], "x")
-    method = p.get("method", "integral")
-    echo = {
-        "sigma": _matrix_echo(sigma),
-        "c": _matrix_echo(cmat),
-        "x": _fmt15(x),
-        "method": method,
-    }
-    if method == "integral":
-        cfg = _quad_config(job.quadrature)
-        try:
-            est = qform_cdf(sigma, cmat, x, cfg)
-        except ConvergenceError as exc:
-            est = getattr(exc, "estimate", None)
-            if est is None:
-                raise
-            rec = _result_record(job.command, echo, "cdf", est.value,
-                                 est.err_estimate, False, est.r_used,
-                                 est.nodes_used, [str(exc)])
-            return rec, 3
-        rec = _result_record(job.command, echo, "cdf", est.value,
-                             est.err_estimate, True, est.r_used,
-                             est.nodes_used, [])
-        return rec, 0
-    if method == "mc":
-        n_samples = _parse_int(p.get("n_samples", 1000000), "n_samples")
-        seed = _parse_int(p.get("seed", 0), "seed")
-        echo["n_samples"] = n_samples
-        echo["seed"] = seed
-        res = mc_qform(sigma, cmat, x, n_samples, seed)
-        rec = _result_record(job.command, echo, "cdf", res.estimate,
-                             res.std_error, True, None, res.n_samples, [])
-        return rec, 0
-    raise DomainError(f"unknown qform method {method!r}")
+    echo = {"sigma": _matrix_echo(sigma), "c": _matrix_echo(cmat), "x": _fmt15(x)}
+    return (sigma, cmat, x), echo, []
 
 
-def _run_mvgamma(job):
-    p = job.params
-    allowed = {"alpha", "sigma", "xs", "method", "n_samples", "seed", "max_dim"}
-    extra = set(p) - allowed
-    if extra:
-        raise DomainError(f"unknown mvgamma params: {sorted(extra)}")
-    for key in ("alpha", "sigma", "xs"):
-        if key not in p:
-            raise DomainError(f"mvgamma requires {key!r}")
+def _parse_mvgamma(p):
     alpha = _parse_float(p["alpha"], "alpha")
     sigma = _parse_matrix(p["sigma"], "sigma")
     xs = _parse_floats(p["xs"], "xs")
-    method = p.get("method", "integral")
     max_dim = _parse_int(p.get("max_dim", 3), "max_dim")
     params = MvGammaParams(alpha, SymMatrix(sigma), max_dim)
     echo = {
         "alpha": _fmt15(alpha),
         "sigma": _matrix_echo(sigma),
         "xs": [_fmt15(x) for x in xs],
-        "method": method,
     }
-    warnings = []
     caveat = existence_caveat(params)
-    if caveat is not None:
-        warnings.append(caveat)
-    if method == "integral":
-        cfg = _quad_config(job.quadrature)
-        try:
-            est = mv_cdf(params, xs, cfg)
-        except ConvergenceError as exc:
-            est = exc.estimate
-            if est is None:
-                raise
-            rec = _result_record(job.command, echo, "cdf", est.value,
-                                 est.err_estimate, False, est.r_used,
-                                 est.nodes_used, warnings + [str(exc)])
-            return rec, 3
-        rec = _result_record(job.command, echo, "cdf", est.value,
-                             est.err_estimate, True, est.r_used,
-                             est.nodes_used, warnings)
-        return rec, 0
+    return (params, xs), echo, [] if caveat is None else [caveat]
+
+
+# Routes map (model, QuadratureConfig, (n_samples, seed) or None) to
+# (value, err_estimate, r_used, nodes_used). They look the library
+# functions up as module globals at call time, so a wrapper bound to
+# this module's attribute (a tracer, a test double) sees every call.
+
+def _quadrature(est):
+    return est.value, est.err_estimate, est.r_used, est.nodes_used
+
+
+def _sampled(res):
+    return res.estimate, res.std_error, None, res.n_samples
+
+
+def _series_route(model, cfg, mc):
+    res = series_cdf(*model, cfg.tol)
+    return res.value, res.tail_bound, None, res.terms_used
+
+
+def _quantile_route(model, cfg, mc):
+    params, prob = model
+    xq = quantile(params, prob, cfg)
+    check = cdf(params, xq, cfg)
+    return xq, abs(check.value - prob), check.r_used, check.nodes_used
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One command: its params, the parser that validates them into
+    (model, input_echo, warnings), and its routes by method name.
+    Missing required params are reported in the order given here."""
+
+    required: tuple
+    parse: object
+    routes: dict
+    optional: tuple = ("method", "n_samples", "seed")
+    key: str = "cdf"
+
+
+_TABLE = {
+    "gamma-sum": _Command(
+        ("alphas", "lambdas", "x"),
+        _parse_gamma_sum,
+        {
+            "integral": lambda m, cfg, mc: _quadrature(cdf(*m, cfg)),
+            "series": _series_route,
+            "mc": lambda m, cfg, mc: _sampled(mc_cdf(*m, *mc)),
+        },
+    ),
+    "qform": _Command(
+        ("sigma", "c", "x"),
+        _parse_qform,
+        {
+            "integral": lambda m, cfg, mc: _quadrature(qform_cdf(*m, cfg)),
+            "mc": lambda m, cfg, mc: _sampled(mc_qform(*m, *mc)),
+        },
+    ),
+    "mvgamma": _Command(
+        ("alpha", "sigma", "xs"),
+        _parse_mvgamma,
+        {
+            "integral": lambda m, cfg, mc: _quadrature(mv_cdf(*m, cfg)),
+            "mc": lambda m, cfg, mc: _sampled(
+                mc_mvgamma(m[0].alpha, m[0].sigma, m[1], *mc)
+            ),
+        },
+        optional=("method", "max_dim", "n_samples", "seed"),
+    ),
+    "quantile": _Command(
+        ("alphas", "lambdas", "prob"),
+        lambda p: _parse_gamma_sum(p, "prob"),
+        {"integral": _quantile_route},
+        optional=(),
+        key="quantile",
+    ),
+}
+_COMMANDS = (*_TABLE, "selfcheck")
+
+
+def _run_command(job):
+    """Validate a job's params, run the selected route, build its record.
+
+    A ConvergenceError that carries a quadrature estimate becomes a
+    record with "converged": false and exit code 3; a quantile has no
+    partial result, so its non-convergence stays an error."""
+    cmd = _TABLE[job.command]
+    p = job.params
+    extra = set(p) - set(cmd.required + cmd.optional)
+    if extra:
+        raise DomainError(f"unknown {job.command} params: {sorted(extra)}")
+    for key in cmd.required:
+        if key not in p:
+            raise DomainError(f"{job.command} requires {key!r}")
+    model, echo, warnings = cmd.parse(p)
+    method = p.get("method", "integral")
+    if "method" in cmd.optional:
+        echo["method"] = method
+    if not isinstance(method, str) or method not in cmd.routes:
+        raise DomainError(f"unknown {job.command} method {method!r}")
+    mc = None
     if method == "mc":
-        n_samples = _parse_int(p.get("n_samples", 1000000), "n_samples")
-        seed = _parse_int(p.get("seed", 0), "seed")
-        echo["n_samples"] = n_samples
-        echo["seed"] = seed
-        res = mc_mvgamma(alpha, sigma, xs, n_samples, seed)
-        rec = _result_record(job.command, echo, "cdf", res.estimate,
-                             res.std_error, True, None, res.n_samples,
-                             warnings)
-        return rec, 0
-    raise DomainError(f"unknown mvgamma method {method!r}")
+        mc = (_parse_int(p.get("n_samples", 1000000), "n_samples"),
+              _parse_int(p.get("seed", 0), "seed"))
+        echo["n_samples"], echo["seed"] = mc
+    cfg = _quad_config(job.quadrature)
+    converged = True
+    try:
+        value, err, r_used, nodes = cmd.routes[method](model, cfg, mc)
+    except ConvergenceError as exc:
+        if exc.estimate is None or cmd.key != "cdf":
+            raise
+        value, err, r_used, nodes = _quadrature(exc.estimate)
+        warnings = warnings + [str(exc)]
+        converged = False
+    record = {
+        "command": job.command,
+        "input_echo": echo,
+        cmd.key: _fmt15(value),
+        "err_estimate": _fmt15(err),
+        "converged": converged,
+        "r_used": _fmt15(r_used),
+        "nodes_used": nodes,
+        "warnings": warnings,
+    }
+    return record, 0 if converged else 3
 
 
 def _selfcheck_cases():
@@ -484,19 +444,12 @@ def _run_selfcheck(job):
     return rec, 0 if ok else 1
 
 
-_RUNNERS = {
-    "gamma-sum": _run_gamma_sum,
-    "quantile": _run_quantile,
-    "qform": _run_qform,
-    "mvgamma": _run_mvgamma,
-    "selfcheck": _run_selfcheck,
-}
-
-
 def _execute_job(job):
     """Run one JobSpec; map exceptions to (error record, exit code)."""
     try:
-        return _RUNNERS[job.command](job)
+        if job.command == "selfcheck":
+            return _run_selfcheck(job)
+        return _run_command(job)
     except (DomainError, ConfigError, NotPositiveDefiniteError) as exc:
         return _error_record(job.command, job.params, "validation", exc), 2
     except ConvergenceError as exc:
@@ -510,25 +463,18 @@ def _emit(record, fmt, out):
     if fmt == "json":
         out.write(json.dumps(record, ensure_ascii=True) + "\n")
         return
+    # csv and plain print nested values as JSON text
+    flat = {
+        key: json.dumps(value) if isinstance(value, (dict, list)) else value
+        for key, value in record.items()
+    }
     if fmt == "csv":
-        keys = list(record.keys())
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(keys)
-        writer.writerow(
-            [
-                json.dumps(record[k]) if isinstance(record[k], (dict, list))
-                else record[k]
-                for k in keys
-            ]
-        )
-        out.write(buf.getvalue())
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(flat)
+        writer.writerow(flat.values())
         return
-    for key, value in record.items():
-        if isinstance(value, (dict, list)):
-            out.write(f"{key} = {json.dumps(value)}\n")
-        else:
-            out.write(f"{key} = {value}\n")
+    for key, value in flat.items():
+        out.write(f"{key} = {value}\n")
     out.write("\n")
 
 
@@ -550,12 +496,9 @@ def _run_batch(path, out):
             continue
         try:
             job = JobSpec.from_dict(json.loads(line))
-        except json.JSONDecodeError as exc:
-            _emit(_error_record("batch", {"line": line[:200]}, "validation",
-                                f"invalid JSON: {exc}"), "json", out)
-            codes.append(2)
-            continue
-        except DomainError as exc:
+        except ValueError as exc:  # json.JSONDecodeError or DomainError
+            if isinstance(exc, json.JSONDecodeError):
+                exc = f"invalid JSON: {exc}"
             _emit(_error_record("batch", {"line": line[:200]}, "validation",
                                 exc), "json", out)
             codes.append(2)
@@ -580,11 +523,6 @@ def _add_quad_flags(sub):
                      help="node cap (default 65536)")
 
 
-def _add_output_flag(sub):
-    sub.add_argument("--format", choices=_FORMATS, default="json",
-                     help="output format (default json)")
-
-
 def _add_mc_flags(sub):
     sub.add_argument("--n-samples", type=int, default=None,
                      help="Monte Carlo sample count (default 1000000)")
@@ -606,44 +544,42 @@ def _build_parser():
     gs.add_argument("--alphas", nargs="+", required=True, help="shape values")
     gs.add_argument("--lambdas", nargs="+", required=True, help="scale values")
     gs.add_argument("--x", type=float, required=True, help="evaluation point")
-    gs.add_argument("--method", choices=("integral", "series", "mc"),
+    gs.add_argument("--method", choices=tuple(_TABLE["gamma-sum"].routes),
                     default="integral")
     _add_mc_flags(gs)
-    _add_quad_flags(gs)
-    _add_output_flag(gs)
 
     qt = subs.add_parser("quantile", help="inverse CDF of the gamma sum")
     qt.add_argument("--alphas", nargs="+", required=True)
     qt.add_argument("--lambdas", nargs="+", required=True)
     qt.add_argument("--prob", type=float, required=True,
                     help="probability in (0, 1)")
-    _add_quad_flags(qt)
-    _add_output_flag(qt)
 
     qf = subs.add_parser("qform", help="CDF of z' C z for z ~ N(0, Sigma)")
     qf.add_argument("--sigma", required=True,
                     help="matrix: I<k>, diag:a,b,..., or JSON rows")
     qf.add_argument("--c", required=True, help="matrix, same syntax")
     qf.add_argument("--x", type=float, required=True)
-    qf.add_argument("--method", choices=("integral", "mc"), default="integral")
+    qf.add_argument("--method", choices=tuple(_TABLE["qform"].routes),
+                    default="integral")
     _add_mc_flags(qf)
-    _add_quad_flags(qf)
-    _add_output_flag(qf)
 
     mv = subs.add_parser("mvgamma", help="joint CDF of a multivariate gamma")
     mv.add_argument("--alpha", type=float, required=True)
     mv.add_argument("--sigma", required=True,
                     help="matrix: I<k>, diag:a,b,..., or JSON rows")
     mv.add_argument("--xs", nargs="+", required=True, help="thresholds")
-    mv.add_argument("--method", choices=("integral", "mc"), default="integral")
+    mv.add_argument("--method", choices=tuple(_TABLE["mvgamma"].routes),
+                    default="integral")
     mv.add_argument("--max-dim", type=int, default=3,
                     help="dimension limit (hard cap 4)")
     _add_mc_flags(mv)
-    _add_quad_flags(mv)
-    _add_output_flag(mv)
 
     sc = subs.add_parser("selfcheck", help="run the built-in check suite")
-    _add_output_flag(sc)
+    for sub in (gs, qt, qf, mv):
+        _add_quad_flags(sub)
+    for sub in (gs, qt, qf, mv, sc):
+        sub.add_argument("--format", choices=_FORMATS, default="json",
+                         help="output format (default json)")
 
     bt = subs.add_parser("batch", help="run line-delimited JobSpec records")
     bt.add_argument("input", help="path to a JSONL file, or - for stdin")
@@ -652,33 +588,14 @@ def _build_parser():
 
 
 def _job_from_args(args):
-    quad = {}
-    if getattr(args, "r", None) is not None:
-        quad["r"] = args.r
-    for attr, key in (("tol", "tol"), ("n_start", "n_start"),
-                      ("n_max", "n_max")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            quad[key] = val
-    params = {}
-    if args.command == "gamma-sum":
-        params = {"alphas": args.alphas, "lambdas": args.lambdas, "x": args.x,
-                  "method": args.method}
-    elif args.command == "quantile":
-        params = {"alphas": args.alphas, "lambdas": args.lambdas,
-                  "prob": args.prob}
-    elif args.command == "qform":
-        params = {"sigma": args.sigma, "c": args.c, "x": args.x,
-                  "method": args.method}
-    elif args.command == "mvgamma":
-        params = {"alpha": args.alpha, "sigma": args.sigma, "xs": args.xs,
-                  "method": args.method, "max_dim": args.max_dim}
-    if getattr(args, "n_samples", None) is not None:
-        params["n_samples"] = args.n_samples
-    if getattr(args, "seed", None) is not None:
-        params["seed"] = args.seed
-    return JobSpec(args.command, params, quad,
-                   getattr(args, "format", "json"))
+    """JobSpec from parsed flags: quadrature flags and --format split off,
+    every other flag set becomes a param, in the order the flags are
+    declared (which is the order error records echo them in)."""
+    params = {k: v for k, v in vars(args).items() if v is not None}
+    command = params.pop("command")
+    output_format = params.pop("format", "json")
+    quad = {k: params.pop(k) for k in _QUAD_KEYS if k in params}
+    return JobSpec(command, params, quad, output_format)
 
 
 def run(argv=None, out=None):
@@ -695,8 +612,7 @@ def run(argv=None, out=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if exc.code is not None else 0
-        return 2 if code not in (0,) else 0
+        return 0 if exc.code in (0, None) else 2
     if args.command == "batch":
         return _run_batch(args.input, out)
     try:

@@ -193,27 +193,34 @@ def mv_integrand(phis, xs, d, r, tol=1e-10):
     return cmath.exp(-d.alpha * logdet) * g
 
 
-def _grid_value(d, xs, r, n, tol):
+def _axis_coefficients(d, xs, r, tol):
+    """Per-axis coefficients P(alpha+n, v x_k) of the G series at radius r.
+
+    Each axis series is truncated once with a budget that keeps the total
+    truncation effect below tol/10 after multiplication by the
+    determinant bound (1 - |C|/r)^-(alpha p) and the worst-case magnitude
+    1/(1 - r) of the other axes' series. They do not depend on the node
+    count, so every refinement level reuses them.
+    """
+    p = d.c_matrix.dim
+    pref = math.exp(d.log_prefactor)
+    bound_det = (1.0 - d.spectral_norm_c / r) ** (-d.alpha * p)
+    bound_g = 1.0 / (1.0 - r)
+    eps_axis = tol / (10.0 * p * pref * bound_det * bound_g ** (p - 1))
+    return [_geometric_coefficients(d.alpha, d.v * x, r, eps_axis)[0] for x in xs]
+
+
+def _grid_value(d, coeffs, r, n):
     """One tensor-grid level: prefactor * n^-p * sum over the midpoint
     grid of the integrand, real part, blocks summed with math.fsum.
-
-    Per-axis G series are truncated once at radius r with a budget that
-    keeps the total truncation effect below tol/10 after multiplication
-    by the determinant bound (1 - |C|/r)^-(alpha p) and the worst-case
-    magnitude 1/(1 - r) of the other axes' series.
+    coeffs are the axes' G-series coefficients from _axis_coefficients.
     """
     p = d.c_matrix.dim
     alpha = d.alpha
     pref = math.exp(d.log_prefactor)
-    bound_det = (1.0 - d.spectral_norm_c / r) ** (-alpha * p)
-    bound_g = 1.0 / (1.0 - r)
-    eps_axis = tol / (10.0 * p * pref * bound_det * bound_g ** (p - 1))
     phis = -math.pi + (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     y_ax = r * np.exp(1j * phis)
-    g_ax = [
-        _horner(_geometric_coefficients(alpha, d.v * x, r, eps_axis)[0], y_ax)
-        for x in xs
-    ]
+    g_ax = [_horner(cf, y_ax) for cf in coeffs]
     c = d.c_matrix.entries
     shape = (n,) * p
     total_pts = n**p
@@ -262,7 +269,7 @@ def _ensure_normalization():
     a = 1.3
     xs = (0.8, 1.7)
     d = MvDerived(a, 1.0, SymMatrix(np.zeros((2, 2))), 0.0, 0.0)
-    got = _grid_value(d, xs, 0.5, 32, 1e-12)
+    got = _grid_value(d, _axis_coefficients(d, xs, 0.5, 1e-12), 0.5, 32)
     want = reg_lower_gamma(a, xs[0]) * reg_lower_gamma(a, xs[1])
     _NORMALIZATION_STATE["checked"] = True
     if abs(got - want) > 1e-8:
@@ -308,9 +315,9 @@ def mv_cdf(p, xs, cfg=None):
         return CdfEstimate(val, val, 0.0, 0, r)
     _ensure_normalization()
     n_cap = min(cfg.n_max, _AXIS_NODE_CAP)
+    coeffs = _axis_coefficients(d, xs, r, cfg.tol)
     levels = (
-        (n, _grid_value(d, xs, r, n, cfg.tol))
-        for n in _doublings(cfg.n_start, n_cap)
+        (n, _grid_value(d, coeffs, r, n)) for n in _doublings(cfg.n_start, n_cap)
     )
     return _refine(
         levels,

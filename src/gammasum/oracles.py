@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import _paired_coefficients, derive_params
 from .errors import DomainError, NotPositiveDefiniteError
+from .qform import _as_sym
 from .special import reg_lower_gamma
 
 # Simulation chunk height: keeps the working set around a few hundred MB
@@ -148,7 +149,7 @@ def mc_cdf(p, x, n_samples=1000000, seed=0):
 
 def _cholesky_lower(mat, what):
     try:
-        return np.linalg.cholesky(np.asarray(mat, dtype=float))
+        return np.linalg.cholesky(mat.entries)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
 
@@ -157,24 +158,26 @@ def mc_qform(sigma, c, x, n_samples=1000000, seed=0):
     """Monte Carlo CDF of the quadratic form z' C z, z ~ N(0, Sigma).
 
     Gaussian vectors come from the ziggurat normal generator through the
-    Cholesky factor of Sigma; C is only checked for positive
-    definiteness (also by Cholesky) so the simulated form matches the
-    domain of the analytic route."""
-    sigma = np.asarray(sigma, dtype=float)
-    c = np.asarray(c, dtype=float)
+    Cholesky factor of Sigma. Sigma and C are checked as the analytic
+    route checks them (symmetric, of one order, positive definite), so
+    the simulated form has the same domain."""
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    sigma = _as_sym(sigma)
+    c = _as_sym(c)
+    if sigma.dim != c.dim:
+        raise DomainError(f"dimension mismatch: sigma is {sigma.dim}, c is {c.dim}")
     l = _cholesky_lower(sigma, "sigma")
     _cholesky_lower(c, "c")
     rng = np.random.default_rng(seed)
-    dim = sigma.shape[0]
+    dim = sigma.dim
     hits = 0
     done = 0
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
         z = rng.standard_normal((m, dim))
         xx = z @ l.T
-        quad = ((xx @ c) * xx).sum(axis=1)
+        quad = ((xx @ c.entries) * xx).sum(axis=1)
         hits += int(np.count_nonzero(quad <= x))
         done += m
     f = hits / n_samples
@@ -188,9 +191,11 @@ def mc_mvgamma(alpha, sigma, xs, n_samples=1000000, seed=0):
 
     Builds x_k = (1/2) sum_{i=1}^{2 alpha} Z_ik^2 from rows Z_i ~
     N(0, Sigma), the diagonal of a Wishart matrix, and counts the
-    fraction of draws with every component at or below xs."""
-    sigma = np.asarray(sigma, dtype=float)
+    fraction of draws with every component at or below its xs entry."""
+    sigma = _as_sym(sigma)
     xs = np.asarray(xs, dtype=float)
+    if xs.shape != (sigma.dim,):
+        raise DomainError(f"xs must have length {sigma.dim}, got shape {xs.shape}")
     two_alpha = 2.0 * alpha
     df = int(round(two_alpha))
     if df < 1 or abs(two_alpha - df) > 1e-12:
@@ -201,7 +206,7 @@ def mc_mvgamma(alpha, sigma, xs, n_samples=1000000, seed=0):
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     l = _cholesky_lower(sigma, "sigma")
     rng = np.random.default_rng(seed)
-    dim = sigma.shape[0]
+    dim = sigma.dim
     chunk = max(1, _CHUNK // df)
     hits = 0
     done = 0

@@ -31,7 +31,7 @@ from gammasum import (
     series_cdf,
 )
 from gammasum.core import _refinement_levels, choose_r, derive_params
-from gammasum.mvgamma import MvDerived, _grid_value
+from gammasum.mvgamma import MvDerived, _axis_coefficients, _grid_value
 from gammasum.qform import SymMatrix
 
 from helpers import hypoexp_cdf, lower_gamma_series, random_params, random_spd
@@ -270,10 +270,12 @@ def test_criterion_8_multivariate_factorization_and_calibration():
         joint = mv_cdf(MvGammaParams(a, [[s]]), (x,)).value
         worst_p1 = max(worst_p1, abs(joint - uni))
     d1 = MvDerived(1.7, 1.0, SymMatrix(np.zeros((1, 1))), 0.0, 0.0)
-    grid1 = _grid_value(d1, (2.4,), 0.5, 64, 1e-12)
+    grid1 = _grid_value(d1, _axis_coefficients(d1, (2.4,), 0.5, 1e-12), 0.5, 64)
     worst_p1 = max(worst_p1, abs(grid1 - reg_lower_gamma(1.7, 2.4)))
     d2 = MvDerived(0.9, 1.0, SymMatrix(np.zeros((2, 2))), 0.0, 0.0)
-    grid2 = _grid_value(d2, (1.1, 2.6), 0.45, 48, 1e-12)
+    grid2 = _grid_value(
+        d2, _axis_coefficients(d2, (1.1, 2.6), 0.45, 1e-12), 0.45, 48
+    )
     ref2 = reg_lower_gamma(0.9, 1.1) * reg_lower_gamma(0.9, 2.6)
     worst_fac = abs(grid2 - ref2)
     diag = MvGammaParams(1.4, [[1.0, 0.0], [0.0, 3.0]])

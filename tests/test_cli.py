@@ -6,10 +6,18 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gammasum.cli import JobSpec, run
+
+# Recorded stdout and exit code of every command x method, the three
+# formats, non-convergence records, argv and batch validation errors and
+# one multi-line batch file ("<file>" stands for a file holding the
+# case's "batch" lines). Output must stay byte-identical.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 RESULT_KEYS = {
     "command",
@@ -262,3 +270,65 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)]
+)
+def test_golden_output(case, tmp_path):
+    argv = case["argv"]
+    if "batch" in case:
+        path = tmp_path / "jobs.jsonl"
+        path.write_text("\n".join(case["batch"]) + "\n")
+        argv = ["batch", str(path)]
+    assert _run(argv) == (case["exit"], case["stdout"])
+
+
+def test_batch_missing_params_message_ignores_hash_seed():
+    line = json.dumps({"command": "quantile", "params": {}}) + "\n"
+    outputs = set()
+    for seed in ("1", "4", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gammasum", "batch", "-"], input=line,
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert "quantile requires 'alphas'" in outputs.pop()
+
+
+def test_series_route_validates_tolerance():
+    base = ["gamma-sum", "--alphas", "1", "1", "--lambdas", "1", "3", "--x", "2",
+            "--method", "series"]
+    for tol in ("0", "-1"):
+        code, rec = _run_json(base + ["--tol", tol])
+        assert code == 2
+        assert rec["error_type"] == "validation"
+        assert "tol must be positive" in rec["error"]
+
+
+def test_every_route_validates_quadrature():
+    code, rec = _run_json(
+        ["gamma-sum", "--alphas", "1", "1", "--lambdas", "1", "3", "--x", "2",
+         "--method", "mc", "--n-samples", "100", "--r", "2.0"]
+    )
+    assert code == 2
+    assert rec["error_type"] == "validation"
+
+
+def test_monte_carlo_routes_validate_like_integral():
+    mc = ["--method", "mc", "--n-samples", "100"]
+    cases = [
+        ["qform", "--sigma", "[[2,1],[0,2]]", "--c", "I2", "--x", "1"],
+        ["qform", "--sigma", "I2", "--c", "I3", "--x", "1"],
+        ["mvgamma", "--alpha", "1", "--sigma", "[[2,1],[1,2]]", "--xs", "1"],
+        ["mvgamma", "--alpha", "1", "--sigma", "[[2,1],[1,2]]", "--xs", "1", "1",
+         "1"],
+    ]
+    for argv in cases:
+        code_int, rec_int = _run_json(argv)
+        code_mc, rec_mc = _run_json(argv + mc)
+        assert code_int == code_mc == 2, argv
+        assert rec_mc["error_type"] == "validation", argv

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gammasum.mvgamma as mvgamma
 from gammasum.core import GammaSumParams, QuadratureConfig, cdf
 from gammasum.errors import (
     BranchTrackingError,
@@ -16,6 +17,7 @@ from gammasum.errors import (
 from gammasum.mvgamma import (
     MvDerived,
     MvGammaParams,
+    _axis_coefficients,
     _grid_value,
     _logdet_factors,
     _NORMALIZATION_STATE,
@@ -168,7 +170,7 @@ def test_mv_cdf_p1_grid_route_matches_marginal():
     # with a zero C and compare to the marginal gamma CDF.
     alpha, x = 1.7, 2.4
     d = MvDerived(alpha, 1.0, SymMatrix(np.zeros((1, 1))), 0.0, 0.0)
-    got = _grid_value(d, (x,), 0.5, 32, 1e-12)
+    got = _grid_value(d, _axis_coefficients(d, (x,), 0.5, 1e-12), 0.5, 32)
     assert abs(got - reg_lower_gamma(alpha, x)) <= 1e-9
 
 
@@ -257,3 +259,18 @@ def test_normalization_self_test_state_and_reraise():
     finally:
         _NORMALIZATION_STATE.clear()
         _NORMALIZATION_STATE.update(saved)
+
+
+def test_mv_cdf_computes_axis_coefficients_once(monkeypatch):
+    mv_cdf(MvGammaParams(1.0, SIGMA_2), (1.0, 1.0))  # normalization check done
+    calls = []
+    kernel = mvgamma._geometric_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(mvgamma, "_geometric_coefficients", counted)
+    est = mv_cdf(MvGammaParams(1.0, SIGMA_2), (3.0, 3.0))
+    assert est.nodes_used >= 64  # three or more refinement levels ran
+    assert len(calls) == 2

@@ -185,3 +185,21 @@ def test_mc_sample_count_validation():
     p = GammaSumParams((1.0,), (1.0,))
     with pytest.raises(DomainError):
         mc_cdf(p, 1.0, 0)
+
+
+def test_mc_qform_validates_like_qform_cdf():
+    with pytest.raises(DomainError, match="symmetric"):
+        mc_qform([[2.0, 1.0], [0.0, 2.0]], np.eye(2), 1.0, 100)
+    with pytest.raises(DomainError, match="symmetric"):
+        mc_qform(np.eye(2), [[1.0, 0.5], [0.0, 1.0]], 1.0, 100)
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        mc_qform(np.eye(2), np.eye(3), 1.0, 100)
+
+
+def test_mc_mvgamma_requires_one_threshold_per_axis():
+    sigma = [[2.0, 1.0], [1.0, 2.0]]
+    for xs in ((3.0,), (3.0, 3.0, 3.0)):
+        with pytest.raises(DomainError, match="xs must have length 2"):
+            mc_mvgamma(1.0, sigma, xs, 100)
+    with pytest.raises(DomainError, match="symmetric"):
+        mc_mvgamma(1.0, [[2.0, 1.0], [0.0, 2.0]], (3.0, 3.0), 100)
