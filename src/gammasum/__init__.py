@@ -55,8 +55,6 @@ from .qform import (
     sym_sqrt,
 )
 from .special import (
-    complex_pow_principal,
-    complex_reg_lower_gamma,
     erf,
     gamma_pdf,
     log_gamma,
@@ -87,8 +85,6 @@ __all__ = [
     "SymMatrix",
     "cdf",
     "choose_r",
-    "complex_pow_principal",
-    "complex_reg_lower_gamma",
     "derive_params",
     "erf",
     "existence_caveat",

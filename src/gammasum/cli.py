@@ -129,12 +129,16 @@ def _parse_float(value, name):
 
 
 def _parse_int(value, name):
-    if isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from exc
+    """An integer, from a decimal string or an integral finite number
+    (JSON 1e6 arrives as a float)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 def _parse_floats(value, name):
@@ -186,9 +190,10 @@ def _parse_matrix(value, name):
 
 def _quad_config(overrides):
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    r = kwargs.get("r")
-    if isinstance(r, str):
-        kwargs["r"] = None if r.strip().lower() == "auto" else _parse_float(r, "r")
+    if "r" in kwargs:
+        r = kwargs["r"]
+        auto = isinstance(r, str) and r.strip().lower() == "auto"
+        kwargs["r"] = None if auto else _parse_float(r, "r")
     for key in ("n_start", "n_max"):
         if key in kwargs:
             kwargs[key] = _parse_int(kwargs[key], key)

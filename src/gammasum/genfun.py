@@ -74,9 +74,15 @@ def _gamma_tail_coefficients(a, x, log_weight, tol, max_terms=_TERM_CAP):
     peak = max(0, int(round(x - a)))
     m = min(peak + 32 + int(10.0 * math.sqrt(x)), max_terms + 1)
     log_tol = math.log(tol) if tol > 0.0 else -math.inf
+    idx = np.arange(1.0, m)
+    log_w = log_weight(idx)
+    # P <= 1, so the stop comes no later than where the weight alone is below tol
+    light = log_w < log_tol
+    if light.any():
+        m = min(m, int(light.argmax()) + 33)
+        idx, log_w = idx[: m - 1], log_w[: m - 1]
     while True:
         top = min(peak, m - 1)
-        idx = np.arange(1.0, m)
         # u_j = t_j / t_top from the ratios t_j / t_(j-1) = x / (a + j)
         u = np.empty(m)
         u[top] = 1.0
@@ -89,7 +95,7 @@ def _gamma_tail_coefficients(a, x, log_weight, tol, max_terms=_TERM_CAP):
         sums = u[::-1].cumsum()[::-1] * math.exp(log_top - shift)
         sums += math.exp(log_seed - shift)
         with np.errstate(divide="ignore"):
-            crit = log_weight(idx) + np.log(sums[1:]) + shift
+            crit = log_w + np.log(sums[1:]) + shift
         below = crit < log_tol
         stop = int(below.argmax()) + 1
         if below[stop - 1]:
@@ -100,6 +106,8 @@ def _gamma_tail_coefficients(a, x, log_weight, tol, max_terms=_TERM_CAP):
                 f"coefficient truncation needed more than {max_terms} terms"
             )
         m = min(2 * m, max_terms + 1)
+        idx = np.arange(1.0, m)
+        log_w = log_weight(idx)
 
 
 def _geometric_coefficients(a, x, r, tol, max_terms=_TERM_CAP):

@@ -14,11 +14,13 @@ once-per-process self-test on the C = 0 case, where the integral must
 factor into a product of univariate gamma CDFs exactly.
 
 The determinant power needs a continuous branch of log det. Because
-every eigenvalue mu of C Y^-1 satisfies |mu| <= |C|/r < 1, each factor
-1 - mu stays in the right half-plane and the sum of principal logs is
-already continuous; the code still cross-checks that branch choice
-against an independently computed determinant at every evaluation and
-raises BranchTrackingError on any mismatch.
+|C Y^-1| <= |C|/r < 1, the matrix I - C Y^-1 has a positive definite
+Hermitian part; Gaussian elimination without pivoting keeps that
+property in every Schur complement, so every pivot lies in the right
+half-plane all along the path from C = 0, and the sum of the pivots'
+principal logs is the branch that is 0 at C = 0. One elimination serves
+every dimension; it checks each pivot at every grid point and raises
+BranchTrackingError if one ever leaves the right half-plane.
 
 Practical dimension is p <= 3 (hard cap 4); per-axis node counts are
 capped at 512, and non-convergence within that budget is reported as an
@@ -46,8 +48,7 @@ from .special import reg_lower_gamma
 
 HARD_DIM_CAP = 4
 _AXIS_NODE_CAP = 512
-_BLOCK = 65536
-_DET_MATCH_RTOL = 1e-8
+_BLOCK = 16384  # grid points per block; bounds the working set to ~7 MB at p=3
 
 
 @dataclass(frozen=True)
@@ -146,27 +147,30 @@ def mv_derive(p):
     return MvDerived(p.alpha, v, c, norm, log_pref)
 
 
-def _logdet_factors(mu, det_direct):
-    """Continuous log det(I - B) from eigenvalues mu of B, checked
-    against an independently computed determinant.
+def _logdet(a):
+    """Continuous log det of the matrices I - C Y^-1 stacked in a, of
+    shape (p, p, ...) with the stack along the trailing axes, by Gaussian
+    elimination without pivoting. a is overwritten.
 
-    Every |mu| must be below one (guaranteed while r exceeds |C|), which
-    pins each 1 - mu to the right half-plane and makes the principal-log
-    sum the continuous branch; any violation or determinant mismatch is
-    a branch-tracking failure."""
-    mu = np.asarray(mu)
-    if float(np.abs(mu).max()) >= 1.0:
-        raise BranchTrackingError(
-            "an eigenvalue of C Y^-1 reached the unit circle; the radius "
-            "does not dominate the spectral norm of C"
-        )
-    logdet = np.log(1.0 - mu).sum(axis=-1)
-    mismatch = np.abs(np.exp(logdet) - det_direct)
-    if float(mismatch.max()) > _DET_MATCH_RTOL * float(np.abs(det_direct).max()):
-        raise BranchTrackingError(
-            "log-determinant branch disagrees with the pivoted determinant"
-        )
-    return logdet
+    A positive definite Hermitian part keeps every pivot in the right
+    half-plane, which makes the sum of the pivots' principal logs the
+    branch that is continuous from C = 0; a pivot with real part <= 0
+    means the radius does not dominate |C| and is a branch-tracking
+    failure."""
+    log_abs = np.zeros(a.shape[2:])
+    arg = np.zeros(a.shape[2:])
+    for k in range(a.shape[0]):
+        piv = a[k, k]
+        if not (piv.real > 0.0).all():
+            raise BranchTrackingError(
+                "a pivot of I - C Y^-1 left the right half-plane; the radius "
+                "does not dominate the spectral norm of C"
+            )
+        # Log by parts: numpy's complex log is ~5x slower than log|z| + angle
+        log_abs += np.log(np.abs(piv))
+        arg += np.angle(piv)
+        a[k + 1 :, k + 1 :] -= a[k + 1 :, k, None] * (a[None, k, k + 1 :] / piv)
+    return log_abs + 1j * arg
 
 
 def mv_integrand(phis, xs, d, r, tol=1e-10):
@@ -184,9 +188,7 @@ def mv_integrand(phis, xs, d, r, tol=1e-10):
     if not (d.spectral_norm_c < r < 1.0):
         raise ConfigError(f"r = {r!r} outside ({d.spectral_norm_c:.6g}, 1)")
     y = r * np.exp(1j * phis)
-    b = d.c_matrix.entries / y[None, :]
-    mu = np.linalg.eigvals(b)
-    logdet = complex(_logdet_factors(mu, np.linalg.det(np.eye(p) - b)))
+    logdet = complex(_logdet(np.eye(p) - d.c_matrix.entries / y[None, :]))
     g = 1.0 + 0.0j
     for k in range(p):
         g *= g_eval(d.alpha, d.v * xs[k], complex(y[k]), tol)
@@ -228,24 +230,13 @@ def _grid_value(d, coeffs, r, n):
     for start in range(0, total_pts, _BLOCK):
         idx = np.arange(start, min(start + _BLOCK, total_pts))
         multi = np.unravel_index(idx, shape)
-        yb = y_ax[np.stack(multi, axis=1)]
         gprod = g_ax[0][multi[0]].copy()
         for k in range(1, p):
             gprod *= g_ax[k][multi[k]]
-        if p == 1:
-            mu = (c[0, 0] / yb[:, 0])[:, None]
-            det_direct = 1.0 - mu[:, 0]
-        elif p == 2:
-            tr = c[0, 0] / yb[:, 0] + c[1, 1] / yb[:, 1]
-            detb = (c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]) / (yb[:, 0] * yb[:, 1])
-            disc = np.sqrt(tr * tr - 4.0 * detb)
-            mu = np.stack([0.5 * (tr + disc), 0.5 * (tr - disc)], axis=1)
-            det_direct = 1.0 - tr + detb
-        else:
-            bb = c[None, :, :] / yb[:, None, :]
-            mu = np.linalg.eigvals(bb)
-            det_direct = np.linalg.det(np.eye(p)[None, :, :] - bb)
-        logdet = _logdet_factors(mu, det_direct)
+        a = c[:, :, None] / -y_ax[np.stack(multi)]  # -C Y^-1, stack last
+        for k in range(p):
+            a[k, k] += 1.0
+        logdet = _logdet(a)
         vals = np.exp(-alpha * logdet) * gprod
         block_sums.append(math.fsum(vals.real.tolist()))
     return pref * math.fsum(block_sums) / total_pts

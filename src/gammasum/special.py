@@ -1,10 +1,10 @@
 """Scalar special functions on which the rest of the package builds.
 
 Real log-gamma, the gamma density, the regularized lower incomplete gamma
-function P(a, x) for real and complex arguments, the error function, and
-principal-branch complex powers. All routines are pure functions of their
-arguments and hold no shared mutable state, so they are safe to call from
-any number of threads.
+function P(a, x), the error function, and the confluent series
+M(1, c, z) at complex z on which the closed forms of G build. All
+routines are pure functions of their arguments and hold no shared mutable
+state, so they are safe to call from any number of threads.
 
 Complex values are represented by the built-in ``complex`` type; its
 ``real``/``imag`` attributes play the role of the (re, im) pair used in the
@@ -15,7 +15,6 @@ cannot be represented raise PrecisionError.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from .errors import ConvergenceError, DomainError, PrecisionError
@@ -234,55 +233,3 @@ def _kummer_m(c, z, rel_tol=1e-16):
             return total, magsum
         if n >= _MAX_ITER:
             raise ConvergenceError("confluent series M(1, c, z) did not converge")
-
-
-def complex_reg_lower_gamma(a, z):
-    """Analytic continuation of P(a, .) by the power series
-
-        P(a, z) = z^a e^(-z) / Gamma(a+1) * sum_n z^n / ((a+1)...(a+n))
-
-    with the principal branch of z^a. Restricted to |z| <= a + 40, where
-    the series is the appropriate tool; the estimated cancellation of the
-    sum is reported as an error rather than silently returned.
-
-    Raises:
-        DomainError: a <= 0, non-finite z, or |z| > a + 40.
-        PrecisionError: estimated cancellation above 1e-8 of the result,
-            or a result magnitude outside the double range.
-    """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError(f"complex_reg_lower_gamma requires a > 0, got {a!r}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError("complex_reg_lower_gamma requires finite z")
-    if z == 0:
-        return 0.0 + 0.0j
-    if abs(z) > a + 40.0:
-        raise DomainError(
-            f"|z| = {abs(z):.6g} outside the guarded series regime |z| <= a + 40"
-        )
-    total, magsum = _kummer_m(a + 1.0, z)
-    if abs(total) == 0.0 or EPS * magsum / abs(total) > 1e-8:
-        raise PrecisionError(
-            "cancellation in the continued P(a, z) series exceeds 1e-8"
-        )
-    w = a * cmath.log(z) - z - math.lgamma(a + 1.0)
-    if w.real > MAXLOG:
-        raise PrecisionError("P(a, z) magnitude overflows double precision")
-    return cmath.exp(w) * total
-
-
-def complex_pow_principal(base, exponent):
-    """base**exponent via the principal logarithm, for re(base) > 0.
-
-    Restricting to the open right half-plane keeps the principal branch
-    continuous along every path callers generate.
-    """
-    b = complex(base)
-    if not (math.isfinite(b.real) and math.isfinite(b.imag)):
-        raise DomainError("complex_pow_principal requires a finite base")
-    if not b.real > 0.0:
-        raise DomainError(
-            f"complex_pow_principal requires re(base) > 0, got {b!r}"
-        )
-    return cmath.exp(exponent * cmath.log(b))

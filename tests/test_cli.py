@@ -309,16 +309,33 @@ def test_series_route_validates_tolerance():
         assert "tol must be positive" in rec["error"]
 
 
-def test_every_route_validates_quadrature():
+def _run_batch_lines(tmp_path, lines):
+    path = tmp_path / "jobs.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code, text = _run(["batch", str(path)])
+    return code, [json.loads(line) for line in text.strip().splitlines()]
+
+
+def test_every_route_validates_quadrature(tmp_path):
     code, rec = _run_json(
         ["gamma-sum", "--alphas", "1", "1", "--lambdas", "1", "3", "--x", "2",
          "--method", "mc", "--n-samples", "100", "--r", "2.0"]
     )
     assert code == 2
     assert rec["error_type"] == "validation"
+    # a non-string r and a non-integral node count arrive only through batch
+    head = '{"command": "gamma-sum", "params": {"alphas": [1], "lambdas": [1], "x": 1'
+    lines = [
+        head + ', "method": "%s"}, "quadrature": %s}' % (method, quad)
+        for method in ("integral", "series", "mc")
+        for quad in ('{"r": [0.8]}', '{"n_start": 8.5}', '{"n_max": 1e400}')
+    ]
+    code, records = _run_batch_lines(tmp_path, lines)
+    assert code == 2
+    assert [r.get("error_type") for r in records] == ["validation"] * len(lines)
 
 
-def test_monte_carlo_routes_validate_like_integral():
+def test_monte_carlo_routes_validate_like_integral(tmp_path):
     mc = ["--method", "mc", "--n-samples", "100"]
     cases = [
         ["qform", "--sigma", "[[2,1],[0,2]]", "--c", "I2", "--x", "1"],
@@ -332,3 +349,15 @@ def test_monte_carlo_routes_validate_like_integral():
         code_mc, rec_mc = _run_json(argv + mc)
         assert code_int == code_mc == 2, argv
         assert rec_mc["error_type"] == "validation", argv
+    # integer parameters reject fractional and infinite numbers but take
+    # integral floats such as JSON 1e3
+    head = '{"command": "mvgamma", "params": {"alpha": 1, "sigma": "I2", "xs": [1, 1]'
+    bad = ['"method": "mc", "n_samples": 100.9', '"method": "mc", "n_samples": 1e400',
+           '"method": "mc", "n_samples": 100, "seed": 0.5', '"max_dim": 3.5']
+    code, records = _run_batch_lines(tmp_path, [f"{head}, {b}}}}}" for b in bad])
+    assert code == 2
+    assert [r.get("error_type") for r in records] == ["validation"] * len(bad)
+    good = f'{head}, "method": "mc", "n_samples": 1e3, "seed": 2.0, "max_dim": 3.0}}}}'
+    code, records = _run_batch_lines(tmp_path, [good])
+    assert code == 0
+    assert records[0]["input_echo"]["n_samples"] == 1000

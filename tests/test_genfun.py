@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import gammasum.genfun as genfun
 from gammasum.errors import ConvergenceError, DomainError
 from gammasum.genfun import (
     GfunResult,
@@ -120,6 +121,23 @@ def test_coefficient_stream_cap_decays_past_stall():
     assert np.all(np.diff(coeffs) <= 0.0)
     with pytest.raises(ConvergenceError):
         _gamma_tail_coefficients(1.0, 25.0, _unit_weight, 1e-15, max_terms=5)
+
+
+def test_tail_coefficients_window_follows_the_weight(monkeypatch):
+    # At x = 1e7 the weight alone stops the series 41 terms in, long
+    # before the peak index round(x - a): the window must end near the
+    # stop, so the backward sum is seeded with P(a+m, x) for a small m.
+    seeds = []
+
+    def recording(a, x):
+        seeds.append(a)
+        return reg_lower_gamma(a, x)
+
+    monkeypatch.setattr(genfun, "reg_lower_gamma", recording)
+    coeffs, bound = _geometric_coefficients(2.0, 1e7, 0.5, 1e-12)
+    assert coeffs.size == 41 and 0.0 <= bound < 1e-12
+    assert np.all(coeffs == 1.0)
+    assert seeds and max(seeds) - 2.0 <= coeffs.size + 64
 
 
 def test_internal_series_accepts_radii_near_one():

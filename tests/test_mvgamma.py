@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gammasum.mvgamma as mvgamma
 from gammasum.core import GammaSumParams, QuadratureConfig, cdf
@@ -19,13 +21,14 @@ from gammasum.mvgamma import (
     MvGammaParams,
     _axis_coefficients,
     _grid_value,
-    _logdet_factors,
+    _logdet,
     _NORMALIZATION_STATE,
     existence_caveat,
     mv_cdf,
     mv_derive,
     mv_integrand,
 )
+from gammasum.oracles import mc_mvgamma
 from gammasum.qform import SymMatrix
 from gammasum.special import reg_lower_gamma
 
@@ -93,13 +96,51 @@ def test_mv_derive_norm_invariant():
         assert d.spectral_norm_c < 1.0
 
 
-def test_logdet_factors_guards():
-    with pytest.raises(BranchTrackingError):
-        _logdet_factors(np.array([1.2 + 0.0j]), 1.0 + 0.0j)
-    with pytest.raises(BranchTrackingError):
-        _logdet_factors(np.array([0.5 + 0.0j]), 123.0 + 0.0j)
-    val = _logdet_factors(np.array([0.5 + 0.0j]), 0.5 + 0.0j)
+def test_logdet_pivot_guard():
+    # a pivot with real part <= 0, first or after elimination, must raise
+    for b in ([[1.2]], [[1.0]], [[0.5, 0.9], [0.9, 0.5]]):
+        with pytest.raises(BranchTrackingError):
+            _logdet(np.eye(len(b)) - np.array(b))
+    val = _logdet(np.eye(1) - np.array([[0.5]]))
     assert abs(val - math.log(0.5)) <= 1e-15
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_logdet_matches_eigenvalue_branch(data):
+    # Reference: the sum of principal logs of 1 - mu over the eigenvalues
+    # mu of C Y^-1, each in the right half-plane because |mu| < 1.
+    p = data.draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    g = np.array(data.draw(st.lists(unit, min_size=p * p, max_size=p * p)))
+    q, _ = np.linalg.qr(g.reshape(p, p))
+    w = np.array(data.draw(st.lists(st.floats(-0.95, 0.95), min_size=p, max_size=p)))
+    c = (q * w) @ q.T
+    norm = float(np.abs(w).max())
+    r = norm + (1.0 - norm) * data.draw(st.floats(1e-3, 1.0 - 1e-3))
+    phis = np.array(
+        data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=p, max_size=p))
+    )
+    b = c / (r * np.exp(1j * phis))[None, :]
+    want = np.log(1.0 - np.linalg.eigvals(b)).sum()
+    assert abs(_logdet(np.eye(p) - b) - want) <= 1e-12
+
+
+def test_logdet_is_the_continuous_branch():
+    # Each factor 1 - (0.9/0.95) e^(-0.3i) has argument 1.2438, so the
+    # branch continuous from C = 0 has argument 3.7315, past pi: the
+    # principal log of the determinant lands on the wrong sheet.
+    y = 0.95 * np.exp(0.3j) * np.ones(3)
+    a = np.eye(3) - 0.9 * np.eye(3) / y[None, :]
+    assert abs(np.log(np.linalg.det(a)).imag - (-2.5517)) <= 1e-4
+    got = _logdet(a.copy())
+    assert abs(got - 3.0 * np.log(1.0 - 0.9 / y[0])) <= 1e-14
+    assert abs(got.imag - 3.7315) <= 1e-4
+    # the stacked form, stack along the last axis, gives every matrix its
+    # own branch
+    stack = _logdet(np.stack([a, np.eye(3) - 0.5 * np.eye(3)], axis=-1))
+    assert abs(stack[0] - got) <= 1e-15
+    assert abs(stack[1] - 3.0 * math.log(0.5)) <= 1e-15
 
 
 def test_mv_integrand_reference_value():
@@ -223,9 +264,14 @@ def test_mv_cdf_p3_runs_and_is_bounded():
     sigma = SymMatrix(
         [[2.0, 0.6, 0.3], [0.6, 1.5, 0.4], [0.3, 0.4, 1.0]]
     )
-    est = mv_cdf(MvGammaParams(1.0, sigma), (2.0, 2.5, 1.5))
+    xs = (2.0, 2.5, 1.5)
+    est = mv_cdf(MvGammaParams(1.0, sigma), xs)
     assert 0.0 <= est.value <= 1.0
     assert est.err_estimate <= 1e-10
+    # frozen from the eigenvalue-branch implementation
+    assert abs(est.value - 0.4193941175669062) <= 1e-12
+    mc = mc_mvgamma(1.0, sigma, xs, n_samples=10**6, seed=8)
+    assert abs(est.value - mc.estimate) <= 4.0 * mc.std_error
 
 
 def test_mv_cdf_nonconvergence_carries_estimate():

@@ -1,15 +1,12 @@
 """Special-function layer: accuracy tables, identities, domain checks."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from gammasum.errors import DomainError, PrecisionError
+from gammasum.errors import DomainError
 from gammasum.special import (
-    complex_pow_principal,
-    complex_reg_lower_gamma,
     erf,
     gamma_pdf,
     log_gamma,
@@ -151,68 +148,3 @@ def test_integer_shapes_reduce_to_poisson_tail():
             )
             got = reg_lower_gamma(1.0 + n, y)
             assert abs(got - want) <= 1e-12, (n, y)
-
-
-def test_complex_reg_lower_gamma_reference_values():
-    got = complex_reg_lower_gamma(2.0, 1j)
-    want = -0.38177329067603622405 + 0.30116867893975678925j
-    assert abs(got - want) <= 1e-13
-    got = complex_reg_lower_gamma(1.6, 2.0 + 1.5j)
-    want = 0.89152005000239355302 + 0.29177498089536749668j
-    assert abs(got - want) <= 1e-13
-
-
-def test_complex_reg_lower_gamma_closed_form_a2():
-    # P(2, z) = 1 - e^-z (1 + z), an entire function: check on a grid.
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        z = complex(rng.uniform(0.1, 5.0), rng.uniform(-5.0, 5.0))
-        got = complex_reg_lower_gamma(2.0, z)
-        want = 1.0 - cmath.exp(-z) * (1.0 + z)
-        assert abs(got - want) <= 1e-12, z
-
-
-def test_complex_reg_lower_gamma_matches_real_axis():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        a = float(rng.uniform(0.4, 10.0))
-        x = float(rng.uniform(0.0, 12.0))
-        got = complex_reg_lower_gamma(a, complex(x))
-        assert abs(got.imag) <= 1e-14
-        assert abs(got.real - reg_lower_gamma(a, x)) <= 1e-12
-
-
-def test_complex_reg_lower_gamma_conjugation():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        a = float(rng.uniform(0.4, 8.0))
-        z = complex(rng.uniform(0.1, 6.0), rng.uniform(0.1, 6.0))
-        lhs = complex_reg_lower_gamma(a, z.conjugate())
-        rhs = complex_reg_lower_gamma(a, z).conjugate()
-        assert abs(lhs - rhs) <= 1e-13
-
-
-def test_complex_reg_lower_gamma_domain_guard():
-    with pytest.raises(DomainError):
-        complex_reg_lower_gamma(1.0, complex(100.0, 0.0))
-    assert complex_reg_lower_gamma(1.5, 0j) == 0j
-
-
-def test_complex_pow_principal():
-    got = complex_pow_principal(1.0 + 1.0j, -0.5)
-    want = 0.77688698701501865367 - 0.32179712645279131237j
-    assert abs(got - want) <= 1e-15
-    # positive real base, real exponent: plain power
-    assert abs(complex_pow_principal(2.0 + 0j, 3.0) - 8.0) <= 1e-14
-    with pytest.raises(DomainError):
-        complex_pow_principal(-1.0 + 0j, 0.5)
-
-
-def test_complex_pow_principal_branch_consistency():
-    # (w^-a) * (w^a) = 1 for right-half-plane bases
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        w = complex(rng.uniform(0.1, 3.0), rng.uniform(-3.0, 3.0))
-        a = float(rng.uniform(0.2, 4.0))
-        prod = complex_pow_principal(w, a) * complex_pow_principal(w, -a)
-        assert abs(prod - 1.0) <= 1e-13

@@ -118,13 +118,6 @@ show("P(0.001, 0.002)", P("0.001", "0.002"))
 show("erf(1)", mp.erf(1))
 print()
 
-print("# complex continuation references")
-z = mp.mpc(0, 1)
-show("P(2, i) = 1-exp(-z)(1+z)", 1 - mp.exp(-z) * (1 + z))
-show("cpow(1+1j, -0.5)", mp.mpc(1, 1) ** mp.mpf("-0.5"))
-show("P(1.6, 2+1.5j)", mp.gammainc(mp.mpf("1.6"), 0, mp.mpc(2, "1.5"), regularized=True))
-print()
-
 print("# generating function references")
 y = mp.mpf("0.6") * mp.exp(mp.mpc(0, 1) * mp.pi / 3)
 show("genfun(0.5, 1.2, 0.6*exp(i*pi/3))", genfun("0.5", "1.2", y))
