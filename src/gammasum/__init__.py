@@ -13,9 +13,7 @@ from .core import (
     GammaSumParams,
     QuadratureConfig,
     cdf,
-    choose_r,
     derive_params,
-    integrand,
     quantile,
 )
 from .errors import (
@@ -28,14 +26,13 @@ from .errors import (
     NotPositiveDefiniteError,
     PrecisionError,
 )
-from .genfun import GfunResult, g_at_one, g_closed, g_closed_alt, g_eval, g_series
+from .genfun import GfunResult, g_series
 from .mvgamma import (
     MvDerived,
     MvGammaParams,
     existence_caveat,
     mv_cdf,
     mv_derive,
-    mv_integrand,
 )
 from .oracles import (
     McResult,
@@ -84,17 +81,11 @@ __all__ = [
     "SeriesResult",
     "SymMatrix",
     "cdf",
-    "choose_r",
     "derive_params",
     "erf",
     "existence_caveat",
-    "g_at_one",
-    "g_closed",
-    "g_closed_alt",
-    "g_eval",
     "g_series",
     "gamma_pdf",
-    "integrand",
     "jacobi_eigen",
     "log_gamma",
     "mc_cdf",
@@ -102,7 +93,6 @@ __all__ = [
     "mc_qform",
     "mv_cdf",
     "mv_derive",
-    "mv_integrand",
     "quantile",
     "qform_cdf",
     "qform_eigenvalues",

@@ -49,7 +49,7 @@ from .errors import (
     GammaSumError,
     NotPositiveDefiniteError,
 )
-from .genfun import g_closed, g_series
+from .genfun import g_series
 from .mvgamma import MvGammaParams, existence_caveat, mv_cdf
 from .oracles import mc_cdf, mc_mvgamma, mc_qform, series_cdf
 from .qform import SymMatrix, qform_cdf
@@ -392,10 +392,13 @@ def _selfcheck_cases():
         return abs(est.value - reg_lower_gamma(2.0, 1.5)), 1e-12
 
     def chk_gfun_routes():
+        # the kernel's series against the direct sum of P(a+n, x) y^n,
+        # whose coefficients come from reg_lower_gamma's own branches
         y = 0.4 * complex(math.cos(0.7), math.sin(0.7))
-        a = g_series(1.7, 2.3, y).value
-        b = g_closed(1.7, 2.3, y)
-        return abs(a - b), 1e-9
+        terms = [reg_lower_gamma(1.7 + n, 2.3) * y**n for n in range(60)]
+        direct = complex(math.fsum(t.real for t in terms),
+                         math.fsum(t.imag for t in terms))
+        return abs(g_series(1.7, 2.3, y).value - direct), 1e-9
 
     def chk_hypoexponential():
         est = cdf(GammaSumParams((1.0, 1.0), (1.0, 2.0)), 2.0)
@@ -483,27 +486,41 @@ def _emit(record, fmt, out):
     out.write("\n")
 
 
+def _parse_line(line):
+    """The JSON value of one batch line. Bytes that are not UTF-8 arrive
+    as lone surrogates (surrogateescape); they, malformed JSON and
+    nesting too deep to decode raise ValueError."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError("batch line is not valid UTF-8") from None
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nesting too deep to decode") from None
+
+
 def _run_batch(path, out):
     """Execute a line-delimited JobSpec stream with per-line isolation."""
     if path == "-":
-        lines = sys.stdin.read().splitlines()
+        text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
     else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+            with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+                text = fh.read()
         except OSError as exc:
             _emit(_error_record("batch", {"input": path}, "validation", exc),
                   "json", out)
             return 2
     codes = [0]
-    for line in lines:
+    for line in text.splitlines():
         if not line.strip():
             continue
         try:
-            job = JobSpec.from_dict(json.loads(line))
-        except ValueError as exc:  # json.JSONDecodeError or DomainError
-            if isinstance(exc, json.JSONDecodeError):
-                exc = f"invalid JSON: {exc}"
+            job = JobSpec.from_dict(_parse_line(line))
+        except ValueError as exc:  # _parse_line or DomainError
             _emit(_error_record("batch", {"line": line[:200]}, "validation",
                                 exc), "json", out)
             codes.append(2)

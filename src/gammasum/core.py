@@ -21,16 +21,17 @@ The coefficients P(alpha+n, vx) come from the kernel of genfun under the
 paired-series bound of _paired_coefficients, which the series route of
 oracles shares.
 
-The integrand extends to a 2 pi periodic analytic function of phi, so the
-midpoint rule converges geometrically; node doubling supplies a two-level
-error estimate (_refine, shared with mvgamma). Node values within a level
-are summed with math.fsum so results are deterministic and exactly
-rounded for a given node count.
+The integrand has one evaluator, _integrand_values, which takes an array
+of angles; the quadrature calls it once per level and the tests probe it
+at single angles. It extends to a 2 pi periodic analytic function of
+phi, so the midpoint rule converges geometrically; node doubling
+supplies a two-level error estimate (_refine, shared with mvgamma). Node
+values within a level are summed with math.fsum so results are
+deterministic and exactly rounded for a given node count.
 """
 
 from __future__ import annotations
 
-import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, DomainError
-from .genfun import _gamma_tail_coefficients, _geometric_coefficients, _horner
+from .genfun import _gamma_tail_coefficients, _horner
 from .special import reg_lower_gamma
 
 _log = logging.getLogger("gammasum.core")
@@ -103,6 +104,16 @@ class DerivedParams:
     log_prefactor: float
 
 
+def _node_count(value, name):
+    """An int, or a float with an integral value, as an int."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Quadrature controls: contour radius, node schedule, and tolerance.
@@ -125,8 +136,8 @@ class QuadratureConfig:
             if not (0.0 < r < 1.0):
                 raise ConfigError(f"r must lie in (0, 1) or be None, got {self.r!r}")
             object.__setattr__(self, "r", r)
-        n_start = int(self.n_start)
-        n_max = int(self.n_max)
+        n_start = _node_count(self.n_start, "n_start")
+        n_max = _node_count(self.n_max, "n_max")
         if n_start < 1:
             raise ConfigError(f"n_start must be >= 1, got {self.n_start!r}")
         if n_max < 2 * n_start:
@@ -192,36 +203,6 @@ def _radius(c_norm, cfg):
     return cfg.r
 
 
-def choose_r(d, cfg):
-    """Resolve the contour radius of a gamma sum (see _radius)."""
-    return _radius(d.c_max_abs, cfg)
-
-
-def integrand(phi, x, d, r, tol=1e-10):
-    """Pointwise integrand Re[ prod_j (1 - c_j r^-1 e^-(i phi))^-alpha_j
-    * G(alpha_total; vx, r e^(i phi)) ].
-
-    The real part is taken of the whole product: the diagonal pairing of
-    the two series demands it, and taking it factor-by-factor would break
-    the r-invariance of the integral.
-    """
-    if not (d.c_max_abs < r < 1.0):
-        raise ConfigError(f"r = {r!r} outside ({d.c_max_abs:.6g}, 1)")
-    if not math.isfinite(phi):
-        raise DomainError("integrand requires finite phi")
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise DomainError(f"integrand requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    coeffs, _ = _geometric_coefficients(d.alpha_total, d.v * x, r, tol)
-    g = complex(_horner(coeffs, np.array([r * cmath.exp(1j * phi)]))[0])
-    w = cmath.exp(-1j * phi) / r
-    logprod = 0.0 + 0.0j
-    for aj, cj in zip(d.alphas, d.c):
-        logprod -= aj * cmath.log(1.0 - cj * w)
-    return (cmath.exp(logprod) * g).real
-
-
 def _paired_coefficients(d, vx, tol):
     """Gamma CDF coefficients truncated by the paired-series bound.
 
@@ -253,14 +234,26 @@ def _paired_coefficients(d, vx, tol):
     return _gamma_tail_coefficients(atot, vx, log_weight, tol)
 
 
+def _integrand_values(phis, r, alphas, cs, coeffs):
+    """The integrand Re[ prod_j (1 - c_j r^-1 e^-(i phi))^-alpha_j
+    * G(alpha_total; vx, r e^(i phi)) ] at an array of angles phis, with
+    G summed by Horner's rule from its coefficients P(alpha_total+n, vx).
+
+    The real part is taken of the whole product: the diagonal pairing of
+    the two series demands it, and taking it factor-by-factor would break
+    the r-invariance of the integral.
+    """
+    w = np.exp(-1j * phis) / r
+    logprod = -(alphas[:, None] * np.log(1.0 - cs[:, None] * w[None, :])).sum(axis=0)
+    g = _horner(coeffs, r * np.exp(1j * phis))
+    return (np.exp(logprod) * g).real
+
+
 def _level_value(n, r, pref, alphas, cs, coeffs):
     """One midpoint-rule level: pref * (1/n) sum_m f(phi_m) with
     phi_m = (m - 1/2) pi / n, summed by math.fsum in index order."""
     phis = (np.arange(n) + 0.5) * (math.pi / n)
-    w = np.exp(-1j * phis) / r
-    logprod = -(alphas[:, None] * np.log(1.0 - cs[:, None] * w[None, :])).sum(axis=0)
-    g = _horner(coeffs, r * np.exp(1j * phis))
-    vals = (np.exp(logprod) * g).real
+    vals = _integrand_values(phis, r, alphas, cs, coeffs)
     return pref * math.fsum(vals.tolist()) / n
 
 
@@ -325,7 +318,7 @@ def cdf(p, x, cfg=None):
     if not math.isfinite(x):
         raise DomainError(f"cdf requires finite x, got {x!r}")
     d = derive_params(p)
-    r = choose_r(d, cfg)
+    r = _radius(d.c_max_abs, cfg)
     if x <= 0.0:
         return CdfEstimate(0.0, 0.0, 0.0, 0, r)
     if d.c_max_abs == 0.0:

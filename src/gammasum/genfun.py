@@ -9,13 +9,10 @@ kernel, ``_gamma_tail_coefficients``, truncated by a caller's tail
 weight: the geometric weight of a circle |y| = r here, the paired
 weight of the gamma-sum CDF in ``core``.
 
-Three independent evaluators are provided. ``g_series`` evaluates the
-truncated series by Horner's rule and is the one used on hot
-paths. ``g_closed`` and ``g_closed_alt`` evaluate two closed forms built
-on the analytically continued incomplete gamma function; they exist to
-cross-check ``g_series`` and are deliberately kept on a different code
-path. ``g_at_one`` evaluates the finite limit at y = 1, where the factor
-(1 - y)^-1 of the closed forms becomes removable.
+``g_series`` evaluates the truncated series by Horner's rule
+(``_horner``), the evaluation the integrals of ``core`` and ``mvgamma``
+run on their nodes. The closed forms of G and its limit at y = 1 are
+test references and live with the tests.
 
 All functions are pure; no shared mutable state.
 """
@@ -27,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PrecisionError
-from .special import (
-    EPS,
-    _kummer_m,
-    _log_front,
-    gamma_pdf,
-    reg_lower_gamma,
-)
+from .errors import ConvergenceError, DomainError
+from .special import _log_front, reg_lower_gamma
 
 _TERM_CAP = 200000
 
@@ -166,104 +157,3 @@ def g_series(a, x, y, tol=1e-12, max_terms=10000):
         raise DomainError("g_series requires tol >= 1e-15")
     coeffs, bound = _geometric_coefficients(a, x, abs(y), tol, max_terms)
     return GfunResult(complex(_horner(coeffs, np.array([y]))[0]), coeffs.size, bound)
-
-
-def g_closed(a, x, y, tol=1e-12):
-    """Closed form (1-y)^-1 (P(a, x) - y^(1-a) e^((y-1)x) P(a, xy)).
-
-    Evaluated with the exponential factors fused analytically:
-
-        y^(1-a) e^((y-1)x) P(a, xy) = y x^a e^(-x) M(1, a+1, xy) / Gamma(a+1)
-
-    which is an exact identity (the principal powers combine because
-    x > 0), and is the numerically usable form: the literal composition
-    multiplies e^(|re(xy)|)-sized intermediates that the fused form never
-    creates. Kept as an independent cross-check of g_series.
-
-    Raises:
-        DomainError: |y| >= 1 or |1 - y| <= 1e-4.
-        PrecisionError: if the estimated rounding error of the confluent
-            series, propagated to the result, exceeds 1e-9.
-    """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError(f"g_closed requires a > 0, got {a!r}")
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise DomainError(f"g_closed requires x >= 0, got {x!r}")
-    y = complex(y)
-    if abs(y) >= 1.0:
-        raise DomainError("g_closed requires |y| < 1")
-    if abs(1.0 - y) <= 1e-4:
-        raise DomainError("g_closed requires |1 - y| > 1e-4; use g_at_one near 1")
-    if x == 0.0:
-        return 0.0 + 0.0j
-    total, magsum = _kummer_m(a + 1.0, x * y, min(tol, 1e-15))
-    scale = math.exp(_log_front(a, x)) / a
-    err = EPS * magsum * scale / abs(1.0 - y)
-    if err > 1e-9:
-        raise PrecisionError(
-            f"g_closed cancellation estimate {err:.3g} exceeds 1e-9"
-        )
-    return (reg_lower_gamma(a, x) - y * scale * total) / (1.0 - y)
-
-
-def g_closed_alt(a, x, y, tol=1e-12):
-    """Second closed form, valid for a >= 1 with the convention P(0, .) = 1:
-
-        (1-y)^-1 (P(a-1, x) - y^(1-a) e^((y-1)x) P(a-1, xy))
-
-    computed with the same exponential fusion as g_closed, which reduces
-    the subtracted term to gamma_pdf(a, x) M(1, a, xy). Independent of
-    g_closed because it rests on the shifted-shape identity.
-    """
-    if not (a >= 1.0) or not math.isfinite(a):
-        raise DomainError(f"g_closed_alt requires a >= 1, got {a!r}")
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise DomainError(f"g_closed_alt requires x >= 0, got {x!r}")
-    y = complex(y)
-    if abs(y) >= 1.0:
-        raise DomainError("g_closed_alt requires |y| < 1")
-    if abs(1.0 - y) <= 1e-4:
-        raise DomainError("g_closed_alt requires |1 - y| > 1e-4")
-    pm1 = 1.0 if a == 1.0 else reg_lower_gamma(a - 1.0, x)
-    pdf_term = gamma_pdf(a, x)
-    total, magsum = _kummer_m(a, x * y, min(tol, 1e-15))
-    err = EPS * magsum * pdf_term / abs(1.0 - y)
-    if err > 1e-9:
-        raise PrecisionError(
-            f"g_closed_alt cancellation estimate {err:.3g} exceeds 1e-9"
-        )
-    return (pm1 - pdf_term * total) / (1.0 - y)
-
-
-def g_at_one(a, x):
-    """Limit of G(a; x, y) as y -> 1:
-
-        x g_a(x) + (1 + x - a) P(a, x)
-
-    with g_a the unit-scale gamma density. Finite for all a > 0, x >= 0.
-    """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError(f"g_at_one requires a > 0, got {a!r}")
-    if not (x >= 0.0) or not math.isfinite(x):
-        raise DomainError(f"g_at_one requires x >= 0, got {x!r}")
-    pdf_part = 0.0 if x == 0.0 else x * gamma_pdf(a, x)
-    return pdf_part + (1.0 + x - a) * reg_lower_gamma(a, x)
-
-
-def g_eval(a, x, y, tol=1e-12):
-    """Dispatcher: g_series away from the unit circle, g_at_one at y = 1.
-
-    The annulus 1 - 1e-6 < |y| < 1 off the real point 1 is rejected; the
-    window keeps the closed forms' (1 - y)^-1 below 1e6 and no caller
-    needs that region.
-    """
-    y = complex(y)
-    if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-        raise DomainError("g_eval requires finite y")
-    if abs(y) > 1.0:
-        raise DomainError("g_eval requires |y| <= 1")
-    if abs(1.0 - y) < 1e-6 and y.imag == 0.0:
-        return complex(g_at_one(a, x))
-    if abs(y) <= 1.0 - 1e-6:
-        return g_series(a, x, y, tol).value
-    raise DomainError("g_eval is undefined for 1 - 1e-6 < |y| < 1 away from y = 1")

@@ -22,6 +22,9 @@ principal logs is the branch that is 0 at C = 0. One elimination serves
 every dimension; it checks each pivot at every grid point and raises
 BranchTrackingError if one ever leaves the right half-plane.
 
+The integrand has one evaluator, _grid_integrand, which takes a block
+of grid points; every level of the tensor grid runs through it.
+
 Practical dimension is p <= 3 (hard cap 4); per-axis node counts are
 capped at 512, and non-convergence within that budget is reported as an
 error rather than papered over.
@@ -29,7 +32,6 @@ error rather than papered over.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -42,7 +44,7 @@ from .errors import (
     DomainError,
     NormalizationError,
 )
-from .genfun import _geometric_coefficients, _horner, g_eval
+from .genfun import _geometric_coefficients, _horner
 from .qform import SymMatrix, _as_sym, _check_posdef, jacobi_eigen
 from .special import reg_lower_gamma
 
@@ -173,28 +175,6 @@ def _logdet(a):
     return log_abs + 1j * arg
 
 
-def mv_integrand(phis, xs, d, r, tol=1e-10):
-    """Pointwise integrand det(I - C Y^-1)^-alpha prod_k G(alpha; v x_k, y_k)
-    at y_k = r e^(i phi_k). Complex; the real part survives integration."""
-    phis = np.asarray(phis, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    p = d.c_matrix.dim
-    if phis.shape != (p,) or xs.shape != (p,):
-        raise DomainError(f"phis and xs must be length-{p} vectors")
-    if not np.isfinite(phis).all() or np.abs(phis).max() > math.pi:
-        raise DomainError("phis must be finite angles in [-pi, pi]")
-    if not np.isfinite(xs).all() or xs.min() < 0.0:
-        raise DomainError("xs must be finite and nonnegative")
-    if not (d.spectral_norm_c < r < 1.0):
-        raise ConfigError(f"r = {r!r} outside ({d.spectral_norm_c:.6g}, 1)")
-    y = r * np.exp(1j * phis)
-    logdet = complex(_logdet(np.eye(p) - d.c_matrix.entries / y[None, :]))
-    g = 1.0 + 0.0j
-    for k in range(p):
-        g *= g_eval(d.alpha, d.v * xs[k], complex(y[k]), tol)
-    return cmath.exp(-d.alpha * logdet) * g
-
-
 def _axis_coefficients(d, xs, r, tol):
     """Per-axis coefficients P(alpha+n, v x_k) of the G series at radius r.
 
@@ -212,32 +192,42 @@ def _axis_coefficients(d, xs, r, tol):
     return [_geometric_coefficients(d.alpha, d.v * x, r, eps_axis)[0] for x in xs]
 
 
+def _grid_integrand(c, alpha, y, g):
+    """The integrand det(I - C Y^-1)^-alpha prod_k G_k at m grid points.
+
+    y is a (p, m) array whose column i holds the points y_k = r e^(i phi_k)
+    of grid point i; g holds p rows of m values, row k the axis series
+    G(alpha; v x_k, y_k) at those points. Complex; the real part survives
+    integration."""
+    gprod = g[0].copy()
+    for k in range(1, len(g)):
+        gprod *= g[k]
+    a = c[:, :, None] / -y  # -C Y^-1, stack last
+    for k in range(len(c)):
+        a[k, k] += 1.0
+    return np.exp(-alpha * _logdet(a)) * gprod
+
+
 def _grid_value(d, coeffs, r, n):
     """One tensor-grid level: prefactor * n^-p * sum over the midpoint
     grid of the integrand, real part, blocks summed with math.fsum.
     coeffs are the axes' G-series coefficients from _axis_coefficients.
     """
     p = d.c_matrix.dim
-    alpha = d.alpha
     pref = math.exp(d.log_prefactor)
     phis = -math.pi + (np.arange(n) + 0.5) * (2.0 * math.pi / n)
     y_ax = r * np.exp(1j * phis)
     g_ax = [_horner(cf, y_ax) for cf in coeffs]
-    c = d.c_matrix.entries
     shape = (n,) * p
     total_pts = n**p
     block_sums = []
     for start in range(0, total_pts, _BLOCK):
         idx = np.arange(start, min(start + _BLOCK, total_pts))
-        multi = np.unravel_index(idx, shape)
-        gprod = g_ax[0][multi[0]].copy()
-        for k in range(1, p):
-            gprod *= g_ax[k][multi[k]]
-        a = c[:, :, None] / -y_ax[np.stack(multi)]  # -C Y^-1, stack last
-        for k in range(p):
-            a[k, k] += 1.0
-        logdet = _logdet(a)
-        vals = np.exp(-alpha * logdet) * gprod
+        multi = np.stack(np.unravel_index(idx, shape))
+        vals = _grid_integrand(
+            d.c_matrix.entries, d.alpha, y_ax[multi],
+            [g[i] for g, i in zip(g_ax, multi)],
+        )
         block_sums.append(math.fsum(vals.real.tolist()))
     return pref * math.fsum(block_sums) / total_pts
 
@@ -278,18 +268,26 @@ def mv_cdf(p, xs, cfg=None):
         p: MvGammaParams.
         xs: length-p vector of thresholds; any nonpositive entry gives 0.
         cfg: optional QuadratureConfig; the per-axis node count doubles
-            from cfg.n_start up to min(cfg.n_max, 512).
+            from cfg.n_start up to min(cfg.n_max, 512), which must allow
+            at least one doubling.
 
     Returns:
         CdfEstimate whose nodes_used counts nodes per axis.
 
     Raises:
+        ConfigError: if 2 cfg.n_start exceeds min(cfg.n_max, 512).
         ConvergenceError: when levels do not stabilize within the node
             cap (carries the last estimate).
         NormalizationError: if the once-per-process C = 0 self-test of
             the grid constant fails.
     """
     cfg = QuadratureConfig() if cfg is None else cfg
+    n_cap = min(cfg.n_max, _AXIS_NODE_CAP)
+    if 2 * cfg.n_start > n_cap:
+        raise ConfigError(
+            f"n_start = {cfg.n_start} allows no doubling within {n_cap} "
+            "nodes per axis"
+        )
     xs = tuple(float(x) for x in xs)
     if len(xs) != p.dim:
         raise DomainError(f"xs must have length {p.dim}, got {len(xs)}")
@@ -305,7 +303,6 @@ def mv_cdf(p, xs, cfg=None):
             val *= reg_lower_gamma(p.alpha, d.v * x)
         return CdfEstimate(val, val, 0.0, 0, r)
     _ensure_normalization()
-    n_cap = min(cfg.n_max, _AXIS_NODE_CAP)
     coeffs = _axis_coefficients(d, xs, r, cfg.tol)
     levels = (
         (n, _grid_value(d, coeffs, r, n)) for n in _doublings(cfg.n_start, n_cap)

@@ -5,8 +5,9 @@ pairs coefficient n with P(alpha_total + n, vx). It shares the
 reparametrization with the quadrature route but none of the contour
 machinery, so agreement between the two is a genuine two-route check.
 The Monte Carlo estimators are the third route: direct simulation with
-a fixed seed, reported with a standard error so tests can assert
-agreement at a stated number of sigmas.
+numpy's own gamma and normal samplers under a fixed seed, reported with
+a standard error so tests can assert agreement at a stated number of
+sigmas.
 """
 
 from __future__ import annotations
@@ -93,45 +94,17 @@ def series_cdf(p, x, tol=1e-10):
     return SeriesResult(pref * math.fsum((b * coeffs).tolist()), coeffs.size, tail)
 
 
-def _gamma_variates(rng, shape, n):
-    """n gamma(shape, 1) draws via the Marsaglia-Tsang squeeze method.
-
-    For shape >= 1: d = shape - 1/3, c = 1/sqrt(9d); draw z standard
-    normal, v = (1 + cz)^3, accept when u < 1 - 0.0331 z^4 or
-    ln u < z^2/2 + d - dv + d ln v. Shapes below one use the boost
-    Gamma(shape) = Gamma(shape + 1) * U^(1/shape).
-    """
-    if shape < 1.0:
-        g = _gamma_variates(rng, shape + 1.0, n)
-        u = rng.random(n)
-        return g * u ** (1.0 / shape)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / math.sqrt(9.0 * d)
-    out = np.empty(n)
-    idx = np.arange(n)
-    while idx.size:
-        z = rng.standard_normal(idx.size)
-        u = rng.random(idx.size)
-        v = (1.0 + c * z) ** 3
-        ok = v > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            accept = ok & (
-                (u < 1.0 - 0.0331 * z**4)
-                | (np.log(u) < 0.5 * z**2 + d - d * v + d * np.log(v))
-            )
-        out[idx[accept]] = d * v[accept]
-        idx = idx[~accept]
-    return out
-
-
 def mc_cdf(p, x, n_samples=1000000, seed=0):
     """Monte Carlo CDF: the fraction of simulated sums at or below x.
 
-    Uses numpy's PCG64 generator under the given seed; the estimate is
-    deterministic for fixed (seed, n_samples). std_error is the binomial
+    Gamma variates come from numpy's PCG64 generator under the given
+    seed (Generator.standard_gamma); the estimate is deterministic for
+    fixed (seed, n_samples). std_error is the binomial
     sqrt(f (1-f) / n)."""
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    if not math.isfinite(x):
+        raise DomainError(f"mc_cdf requires finite x, got {x!r}")
     rng = np.random.default_rng(seed)
     hits = 0
     done = 0
@@ -139,7 +112,7 @@ def mc_cdf(p, x, n_samples=1000000, seed=0):
         m = min(_CHUNK, n_samples - done)
         total = np.zeros(m)
         for a, l in zip(p.alphas, p.lambdas):
-            total += l * _gamma_variates(rng, a, m)
+            total += l * rng.standard_gamma(a, m)
         hits += int(np.count_nonzero(total <= x))
         done += m
     f = hits / n_samples
@@ -163,6 +136,8 @@ def mc_qform(sigma, c, x, n_samples=1000000, seed=0):
     the simulated form has the same domain."""
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    if not math.isfinite(x):
+        raise DomainError(f"mc_qform requires finite x, got {x!r}")
     sigma = _as_sym(sigma)
     c = _as_sym(c)
     if sigma.dim != c.dim:
@@ -196,6 +171,8 @@ def mc_mvgamma(alpha, sigma, xs, n_samples=1000000, seed=0):
     xs = np.asarray(xs, dtype=float)
     if xs.shape != (sigma.dim,):
         raise DomainError(f"xs must have length {sigma.dim}, got shape {xs.shape}")
+    if not np.isfinite(xs).all():
+        raise DomainError("xs must be finite")
     two_alpha = 2.0 * alpha
     df = int(round(two_alpha))
     if df < 1 or abs(two_alpha - df) > 1e-12:

@@ -1,16 +1,13 @@
 """Scalar special functions on which the rest of the package builds.
 
 Real log-gamma, the gamma density, the regularized lower incomplete gamma
-function P(a, x), the error function, and the confluent series
-M(1, c, z) at complex z on which the closed forms of G build. All
-routines are pure functions of their arguments and hold no shared mutable
-state, so they are safe to call from any number of threads.
+function P(a, x) and the error function. All routines are pure functions
+of their arguments and hold no shared mutable state, so they are safe to
+call from any number of threads.
 
-Complex values are represented by the built-in ``complex`` type; its
-``real``/``imag`` attributes play the role of the (re, im) pair used in the
-interface contracts. No NaN or infinity is returned from a public
-operation: out-of-domain inputs raise DomainError and magnitudes that
-cannot be represented raise PrecisionError.
+No NaN or infinity is returned from a public operation: out-of-domain
+inputs raise DomainError and magnitudes that cannot be represented raise
+PrecisionError.
 """
 
 from __future__ import annotations
@@ -211,25 +208,3 @@ def erf(x):
     if x == 0.0:
         return 0.0
     return math.copysign(math.erf(abs(x)), x)
-
-
-def _kummer_m(c, z, rel_tol=1e-16):
-    """M(1, c, z) = sum_n z^n / (c)_n together with sum_n |term_n|.
-
-    The magnitude sum lets callers estimate cancellation: the rounding
-    error of the sum is of order EPS times that magnitude.
-    """
-    term = 1.0 + 0.0j
-    total = 1.0 + 0.0j
-    magsum = 1.0
-    azr = abs(z)
-    n = 0
-    while True:
-        term *= z / (c + n)
-        total += term
-        magsum += abs(term)
-        n += 1
-        if abs(term) <= max(rel_tol * abs(total), 1e-300) and azr < c + n:
-            return total, magsum
-        if n >= _MAX_ITER:
-            raise ConvergenceError("confluent series M(1, c, z) did not converge")

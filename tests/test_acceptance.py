@@ -18,9 +18,6 @@ from gammasum import (
     MvGammaParams,
     cdf,
     erf,
-    g_at_one,
-    g_closed,
-    g_closed_alt,
     g_series,
     mc_cdf,
     mc_mvgamma,
@@ -30,10 +27,11 @@ from gammasum import (
     reg_lower_gamma,
     series_cdf,
 )
-from gammasum.core import _refinement_levels, choose_r, derive_params
+from gammasum.core import _radius, _refinement_levels, derive_params
 from gammasum.mvgamma import MvDerived, _axis_coefficients, _grid_value
 from gammasum.qform import SymMatrix
 
+from closed_forms import g_at_one, g_closed, g_closed_alt
 from helpers import hypoexp_cdf, lower_gamma_series, random_params, random_spd
 
 
@@ -239,7 +237,7 @@ def test_criterion_7_spectral_convergence():
         x = 0.9 * math.fsum(a * l for a, l in zip(alphas, lambdas))
         cfg = QuadratureConfig(n_start=16, n_max=8192, tol=1e-13)
         d = derive_params(p)
-        r = choose_r(d, cfg)
+        r = _radius(d.c_max_abs, cfg)
         vals = [v for _, v in _refinement_levels(d, x, r, cfg)]
         diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         reached = False

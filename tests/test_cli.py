@@ -196,19 +196,24 @@ def test_batch_isolation_and_exit_layering(tmp_path):
         "this is not json",
         json.dumps({"command": "gamma-sum",
                     "params": {"alphas": [1], "lambdas": [-1], "x": 0.5}}),
+        # too deep for json.loads (RecursionError), then a byte that is not UTF-8
+        "[" * 200000,
+        '{"command": "selfcheck", "params": {}}\xff',
         json.dumps({"command": "qform",
                     "params": {"sigma": "I2", "c": "I2", "x": 2.0}}),
     ]
     path = tmp_path / "jobs.jsonl"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
     code, text = _run(["batch", str(path)])
     assert code == 2
     records = [json.loads(line) for line in text.strip().splitlines()]
-    assert len(records) == 4
+    assert len(records) == 6
     assert "cdf" in records[0]
-    assert records[1]["error_type"] == "validation"
-    assert records[2]["error_type"] == "validation"
-    assert "cdf" in records[3]
+    for rec in records[1:5]:
+        assert rec["error_type"] == "validation"
+    assert "too deep" in records[3]["error"]
+    assert "UTF-8" in records[4]["error"]
+    assert "cdf" in records[5]
 
 
 def test_batch_empty_file(tmp_path):
@@ -317,12 +322,18 @@ def _run_batch_lines(tmp_path, lines):
 
 
 def test_every_route_validates_quadrature(tmp_path):
-    code, rec = _run_json(
+    mv = ["mvgamma", "--alpha", "1", "--sigma", "[[2,1],[1,2]]", "--xs", "2", "3",
+          "--n-max", "4096", "--n-start"]
+    for argv in (
         ["gamma-sum", "--alphas", "1", "1", "--lambdas", "1", "3", "--x", "2",
-         "--method", "mc", "--n-samples", "100", "--r", "2.0"]
-    )
-    assert code == 2
-    assert rec["error_type"] == "validation"
+         "--method", "mc", "--n-samples", "100", "--r", "2.0"],
+        # mvgamma caps the nodes per axis at 512, below n_max
+        mv + ["1024"],
+        mv + ["512"],
+    ):
+        code, rec = _run_json(argv)
+        assert code == 2, argv
+        assert rec["error_type"] == "validation", argv
     # a non-string r and a non-integral node count arrive only through batch
     head = '{"command": "gamma-sum", "params": {"alphas": [1], "lambdas": [1], "x": 1'
     lines = [

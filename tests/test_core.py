@@ -9,14 +9,15 @@ from gammasum.core import (
     CdfEstimate,
     GammaSumParams,
     QuadratureConfig,
+    _integrand_values,
+    _radius,
     _refinement_levels,
     cdf,
-    choose_r,
     derive_params,
-    integrand,
     quantile,
 )
 from gammasum.errors import ConfigError, ConvergenceError, DomainError
+from gammasum.genfun import _geometric_coefficients
 from gammasum.special import reg_lower_gamma
 
 from helpers import hypoexp_cdf, random_params
@@ -84,10 +85,10 @@ def test_derive_params_equal_scale_exact_zero():
 
 def test_choose_r():
     d = derive_params(GammaSumParams((1.0, 1.0), (1.0, 3.0)))
-    assert choose_r(d, QuadratureConfig()) == 0.75
-    assert choose_r(d, QuadratureConfig(r=0.6)) == 0.6
+    assert _radius(d.c_max_abs, QuadratureConfig()) == 0.75
+    assert _radius(d.c_max_abs, QuadratureConfig(r=0.6)) == 0.6
     with pytest.raises(ConfigError):
-        choose_r(d, QuadratureConfig(r=0.4))  # below c_max = 0.5
+        _radius(d.c_max_abs, QuadratureConfig(r=0.4))  # below c_max = 0.5
 
 
 def test_quadrature_config_validation():
@@ -99,13 +100,28 @@ def test_quadrature_config_validation():
         QuadratureConfig(n_start=64, n_max=100)
     with pytest.raises(ConfigError):
         QuadratureConfig(tol=0.0)
+    for bad in ({"n_max": math.inf}, {"n_start": math.nan}, {"n_start": 16.7},
+                {"n_start": "16x"}):
+        with pytest.raises(ConfigError):
+            QuadratureConfig(**bad)
     cfg = QuadratureConfig()
     assert (cfg.r, cfg.n_start, cfg.n_max, cfg.tol) == (None, 16, 65536, 1e-10)
+    cfg = QuadratureConfig(n_start=16.0, n_max=64.0)
+    assert (cfg.n_start, cfg.n_max) == (16, 64) and type(cfg.n_start) is int
+
+
+def _integrand_at(phis, x, d, r):
+    """The quadrature's integrand at the angles phis."""
+    coeffs, _ = _geometric_coefficients(d.alpha_total, d.v * x, r, 1e-13)
+    return _integrand_values(
+        np.asarray(phis, dtype=float), r, np.asarray(d.alphas), np.asarray(d.c),
+        coeffs,
+    )
 
 
 def test_integrand_reference_value():
     d = derive_params(GammaSumParams((1.0, 1.0), (1.0, 3.0)))
-    got = integrand(math.pi / 2.0, 2.0, d, 0.75, tol=1e-13)
+    got = _integrand_at([math.pi / 2.0], 2.0, d, 0.75)[0]
     assert abs(got - REF_INTEGRAND) <= 1e-10
 
 
@@ -114,12 +130,9 @@ def test_integrand_even_in_phi_and_edges():
     rng = np.random.default_rng(43)
     for _ in range(20):
         phi = float(rng.uniform(0.0, math.pi))
-        assert abs(integrand(phi, 3.0, d, 0.8) - integrand(-phi, 3.0, d, 0.8)) <= 1e-14
-    assert integrand(1.0, 0.0, d, 0.8) == 0.0
-    with pytest.raises(DomainError):
-        integrand(1.0, -1.0, d, 0.8)
-    with pytest.raises(ConfigError):
-        integrand(1.0, 1.0, d, 0.3)  # r below c_max
+        plus, minus = _integrand_at([phi, -phi], 3.0, d, 0.8)
+        assert abs(plus - minus) <= 1e-14
+    assert _integrand_at([1.0], 0.0, d, 0.8)[0] == 0.0
 
 
 def test_cdf_reference_values():
@@ -187,7 +200,7 @@ def test_cdf_estimate_matches_refinement_levels():
     cfg = QuadratureConfig()
     est = cdf(p, 6.0, cfg)
     d = derive_params(p)
-    r = choose_r(d, cfg)
+    r = _radius(d.c_max_abs, cfg)
     seen = []
     for n, v in _refinement_levels(d, 6.0, r, cfg):
         seen.append((n, v))

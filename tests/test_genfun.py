@@ -1,4 +1,4 @@
-"""Generating-series evaluators: route agreement, bounds, edge behavior."""
+"""Generating series: the kernel, its closed-form references, bounds, edges."""
 
 import cmath
 import math
@@ -13,13 +13,11 @@ from gammasum.genfun import (
     _gamma_tail_coefficients,
     _geometric_coefficients,
     _horner,
-    g_at_one,
-    g_closed,
-    g_closed_alt,
-    g_eval,
     g_series,
 )
 from gammasum.special import reg_lower_gamma
+
+from closed_forms import g_at_one, g_closed, g_closed_alt
 
 
 def test_reference_value_series():
@@ -255,11 +253,3 @@ def test_geometric_coefficients_and_horner_match_series():
         )
         assert np.abs(_horner(coeffs, ys) - direct).max() <= 1e-12
 
-
-def test_g_eval_dispatch():
-    # series region, near-one region, and rejection beyond the disc
-    assert abs(g_eval(2.0, 2.0, 0.5 + 0.0j) - g_series(2.0, 2.0, 0.5).value) == 0.0
-    near = g_eval(2.0, 2.0, 1.0 - 1e-7)
-    assert abs(near - g_at_one(2.0, 2.0)) <= 1e-6
-    with pytest.raises(DomainError):
-        g_eval(2.0, 2.0, 1.1)

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 import gammasum.mvgamma as mvgamma
 from gammasum.core import GammaSumParams, QuadratureConfig, cdf
+from gammasum.genfun import _geometric_coefficients, _horner, g_series
 from gammasum.errors import (
     BranchTrackingError,
+    ConfigError,
     ConvergenceError,
     DomainError,
     NormalizationError,
@@ -20,13 +23,13 @@ from gammasum.mvgamma import (
     MvDerived,
     MvGammaParams,
     _axis_coefficients,
+    _grid_integrand,
     _grid_value,
     _logdet,
     _NORMALIZATION_STATE,
     existence_caveat,
     mv_cdf,
     mv_derive,
-    mv_integrand,
 )
 from gammasum.oracles import mc_mvgamma
 from gammasum.qform import SymMatrix
@@ -122,8 +125,18 @@ def test_logdet_matches_eigenvalue_branch(data):
         data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=p, max_size=p))
     )
     b = c / (r * np.exp(1j * phis))[None, :]
-    want = np.log(1.0 - np.linalg.eigvals(b)).sum()
-    assert abs(_logdet(np.eye(p) - b) - want) <= 1e-12
+    a = np.eye(p) - b
+    branch = np.log(1.0 - np.linalg.eigvals(b)).sum()
+    # The eigenvalues fix the sheet; the value comes from a 30-digit
+    # determinant of the same matrix, because eigenvalues with |mu| near 1
+    # lose digits in 1 - mu (1.2e-12 off at 1 - mu = 5.6e-4, where the
+    # elimination is within 1e-14).
+    with mp.workdps(30):
+        principal = complex(mp.log(mp.det(mp.matrix(a.tolist()))))
+    turns = round((branch.imag - principal.imag) / (2.0 * math.pi))
+    want = principal + 2j * math.pi * turns
+    assert abs(branch - want) <= 1e-9
+    assert abs(_logdet(a) - want) <= 1e-12
 
 
 def test_logdet_is_the_continuous_branch():
@@ -143,9 +156,19 @@ def test_logdet_is_the_continuous_branch():
     assert abs(stack[1] - 3.0 * math.log(0.5)) <= 1e-15
 
 
+def _integrand_at(phis, xs, d, r, tol=1e-10):
+    """The grid integrand at the one point (phi_1, ..., phi_p)."""
+    y = r * np.exp(1j * np.asarray(phis, dtype=float))[:, None]
+    g = np.stack([
+        _horner(_geometric_coefficients(d.alpha, d.v * x, r, tol)[0], yk)
+        for x, yk in zip(xs, y)
+    ])
+    return complex(_grid_integrand(d.c_matrix.entries, d.alpha, y, g)[0])
+
+
 def test_mv_integrand_reference_value():
     d = mv_derive(MvGammaParams(1.0, SIGMA_2))
-    got = mv_integrand(
+    got = _integrand_at(
         (math.pi / 3.0, -math.pi / 4.0), (2.0, 3.0), d, 0.75, tol=1e-13
     )
     assert abs(got - REF_MV_INTEGRAND) <= 1e-10
@@ -156,35 +179,19 @@ def test_mv_integrand_conjugate_symmetry():
     rng = np.random.default_rng(109)
     for _ in range(10):
         phis = rng.uniform(-math.pi, math.pi, size=2)
-        a = mv_integrand(phis, (2.0, 1.5), d, 0.8)
-        b = mv_integrand(-phis, (2.0, 1.5), d, 0.8)
+        a = _integrand_at(phis, (2.0, 1.5), d, 0.8)
+        b = _integrand_at(-phis, (2.0, 1.5), d, 0.8)
         assert abs(a - b.conjugate()) <= 1e-12
 
 
 def test_mv_integrand_c_zero_is_product_of_series():
-    from gammasum.genfun import g_eval
-
     d = MvDerived(1.1, 1.0, SymMatrix(np.zeros((2, 2))), 0.0, 0.0)
     phis = (0.4, -1.1)
-    got = mv_integrand(phis, (1.0, 2.0), d, 0.6, tol=1e-13)
-    want = g_eval(1.1, 1.0, 0.6 * cmath.exp(0.4j), tol=1e-13) * g_eval(
+    got = _integrand_at(phis, (1.0, 2.0), d, 0.6, tol=1e-13)
+    want = g_series(1.1, 1.0, 0.6 * cmath.exp(0.4j), tol=1e-13).value * g_series(
         1.1, 2.0, 0.6 * cmath.exp(-1.1j), tol=1e-13
-    )
+    ).value
     assert abs(got - want) <= 1e-11
-
-
-def test_mv_integrand_validation():
-    d = mv_derive(MvGammaParams(1.0, SIGMA_2))
-    with pytest.raises(DomainError):
-        mv_integrand((0.1,), (1.0, 1.0), d, 0.75)  # wrong length
-    with pytest.raises(DomainError):
-        mv_integrand((0.1, 4.0), (1.0, 1.0), d, 0.75)  # angle out of range
-    with pytest.raises(DomainError):
-        mv_integrand((0.1, 0.2), (-1.0, 1.0), d, 0.75)
-    from gammasum.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        mv_integrand((0.1, 0.2), (1.0, 1.0), d, 0.3)  # r below |C|
 
 
 def test_mv_cdf_matches_independent_mixture_series():
@@ -281,6 +288,18 @@ def test_mv_cdf_nonconvergence_carries_estimate():
         mv_cdf(p, (3.0, 3.0), cfg)
     assert info.value.estimate is not None
     assert info.value.estimate.nodes_used == 8
+
+
+def test_mv_cdf_requires_a_doubling_within_the_axis_cap():
+    # the per-axis cap of 512 nodes, not n_max, bounds the doubling:
+    # n_start = 1024 leaves no level to run, and 512 a single level,
+    # which can never pass the two-level stop
+    p = MvGammaParams(1.0, SIGMA_2)
+    for n_start in (1024, 512):
+        with pytest.raises(ConfigError, match="no doubling"):
+            mv_cdf(p, (2.0, 3.0), QuadratureConfig(n_start=n_start, n_max=4096))
+    est = mv_cdf(p, (2.0, 3.0), QuadratureConfig(n_start=256, n_max=4096))
+    assert est.nodes_used == 512
 
 
 def test_mv_cdf_xs_validation():
