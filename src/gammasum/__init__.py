@@ -43,20 +43,8 @@ from .oracles import (
     series_cdf,
     series_coefficients,
 )
-from .qform import (
-    EigenDecomp,
-    SymMatrix,
-    jacobi_eigen,
-    qform_cdf,
-    qform_eigenvalues,
-    sym_sqrt,
-)
-from .special import (
-    erf,
-    gamma_pdf,
-    log_gamma,
-    reg_lower_gamma,
-)
+from .qform import SymMatrix, qform_cdf, qform_eigenvalues
+from .special import gamma_pdf, reg_lower_gamma
 
 __version__ = "0.1.0"
 
@@ -67,7 +55,6 @@ __all__ = [
     "ConvergenceError",
     "DerivedParams",
     "DomainError",
-    "EigenDecomp",
     "GammaSumError",
     "GammaSumParams",
     "GfunResult",
@@ -82,12 +69,9 @@ __all__ = [
     "SymMatrix",
     "cdf",
     "derive_params",
-    "erf",
     "existence_caveat",
     "g_series",
     "gamma_pdf",
-    "jacobi_eigen",
-    "log_gamma",
     "mc_cdf",
     "mc_mvgamma",
     "mc_qform",
@@ -99,6 +83,5 @@ __all__ = [
     "reg_lower_gamma",
     "series_cdf",
     "series_coefficients",
-    "sym_sqrt",
     "__version__",
 ]

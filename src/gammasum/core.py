@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,14 +105,12 @@ class DerivedParams:
     log_prefactor: float
 
 
-def _node_count(value, name):
-    """An int, or a float with an integral value, as an int."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    try:
+def _integer(value, name, error):
+    """A real number with an integral value (3 or 3.0), as an int;
+    anything else, NaN and infinities included, raises error."""
+    if isinstance(value, numbers.Real) and value % 1 == 0:
         return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from exc
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,8 @@ class QuadratureConfig:
             if not (0.0 < r < 1.0):
                 raise ConfigError(f"r must lie in (0, 1) or be None, got {self.r!r}")
             object.__setattr__(self, "r", r)
-        n_start = _node_count(self.n_start, "n_start")
-        n_max = _node_count(self.n_max, "n_max")
+        n_start = _integer(self.n_start, "n_start", ConfigError)
+        n_max = _integer(self.n_max, "n_max", ConfigError)
         if n_start < 1:
             raise ConfigError(f"n_start must be >= 1, got {self.n_start!r}")
         if n_max < 2 * n_start:

@@ -37,7 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CdfEstimate, QuadratureConfig, _doublings, _radius, _refine
+from .core import (
+    CdfEstimate,
+    QuadratureConfig,
+    _doublings,
+    _integer,
+    _radius,
+    _refine,
+)
 from .errors import (
     BranchTrackingError,
     ConfigError,
@@ -71,7 +78,7 @@ class MvGammaParams:
             raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", _as_sym(self.sigma))
-        max_dim = int(self.max_dim)
+        max_dim = _integer(self.max_dim, "max_dim", DomainError)
         if not (1 <= max_dim <= HARD_DIM_CAP):
             raise DomainError(
                 f"max_dim must be between 1 and {HARD_DIM_CAP}, got {self.max_dim!r}"
@@ -123,13 +130,13 @@ def existence_caveat(p):
 
 
 def mv_derive(p):
-    """Eigendecompose sigma and build the reparametrization.
+    """Eigendecompose sigma with qform.jacobi_eigen (LAPACK's eigh) and
+    build the reparametrization.
 
     A spherical sigma = w I produces an exactly zero C matrix, which
     mv_cdf turns into the closed product-of-marginals path."""
-    dec = jacobi_eigen(p.sigma)
-    _check_posdef(dec.values, p.sigma.dim, "sigma")
-    w = dec.values
+    w, vecs = jacobi_eigen(p.sigma)
+    _check_posdef(w, p.sigma.dim, "sigma")
     wmin = float(w[0])
     wmax = float(w[-1])
     dim = p.sigma.dim
@@ -140,7 +147,7 @@ def mv_derive(p):
     else:
         v = 0.5 * (1.0 / wmax + 1.0 / wmin)
         cd = 1.0 - 1.0 / (v * w)
-        cm = (dec.vectors * cd) @ dec.vectors.T
+        cm = (vecs * cd) @ vecs.T
         c = SymMatrix(0.5 * (cm + cm.T))
         norm = float(np.abs(cd).max())
     log_pref = -p.alpha * dim * math.log(v) - p.alpha * math.fsum(

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _paired_coefficients, derive_params
+from .core import _integer, _paired_coefficients, derive_params
 from .errors import DomainError, NotPositiveDefiniteError
 from .qform import _as_sym
 from .special import reg_lower_gamma
 
-# Simulation chunk height: keeps the working set around a few hundred MB
-# at most while producing streams bit-identical to one monolithic draw.
+# Simulation chunk height: keeps the working set to a few hundred MB at most.
 _CHUNK = 262144
 
 
@@ -51,8 +50,9 @@ def series_coefficients(d, n_terms):
 
     Computed by the log-derivative recurrence
         b_0 = 1,   n b_n = sum_{m=1}^{n} s_m b_{n-m},
-    with power sums s_m = sum_j alpha_j c_j^m. All b_n >= 0 when the c_j
-    are real, which the dominating-series tail bound relies on.
+    with power sums s_m = sum_j alpha_j c_j^m. The b_n change sign when
+    some c_j < 0; the tail bound relies only on |b_n| <= beta_n, the
+    coefficients of (1 - c_max y)^-alpha_total with c_max = max_j |c_j|.
     """
     if n_terms < 1:
         raise DomainError(f"n_terms must be >= 1, got {n_terms!r}")
@@ -94,30 +94,43 @@ def series_cdf(p, x, tol=1e-10):
     return SeriesResult(pref * math.fsum((b * coeffs).tolist()), coeffs.size, tail)
 
 
+def _mc_fraction(n_samples, seed, chunk, draw):
+    """Fraction of n_samples simulated draws that land in an event.
+
+    draw(rng, m) simulates m samples and returns one boolean per sample.
+    It runs on consecutive chunks of at most chunk samples from one PCG64
+    generator seeded with seed, so the estimate is deterministic for fixed
+    (seed, n_samples). n_samples must be a positive integer (3.0 is
+    accepted); anything else raises DomainError before the first draw.
+    std_error is the binomial sqrt(f (1-f) / n), f (1-f) floored at 1/n.
+    """
+    n = _integer(n_samples, "n_samples", DomainError)
+    if n < 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for done in range(0, n, chunk):
+        hits += int(np.count_nonzero(draw(rng, min(chunk, n - done))))
+    f = hits / n
+    se = math.sqrt(max(f * (1.0 - f), 1.0 / n) / n)
+    return McResult(f, se, n, seed)
+
+
 def mc_cdf(p, x, n_samples=1000000, seed=0):
     """Monte Carlo CDF: the fraction of simulated sums at or below x.
 
-    Gamma variates come from numpy's PCG64 generator under the given
-    seed (Generator.standard_gamma); the estimate is deterministic for
-    fixed (seed, n_samples). std_error is the binomial
-    sqrt(f (1-f) / n)."""
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    Gamma variates come from Generator.standard_gamma; the estimate is
+    deterministic for fixed (seed, n_samples)."""
     if not math.isfinite(x):
         raise DomainError(f"mc_cdf requires finite x, got {x!r}")
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
+
+    def draw(rng, m):
         total = np.zeros(m)
         for a, l in zip(p.alphas, p.lambdas):
             total += l * rng.standard_gamma(a, m)
-        hits += int(np.count_nonzero(total <= x))
-        done += m
-    f = hits / n_samples
-    se = math.sqrt(max(f * (1.0 - f), 1.0 / n_samples) / n_samples)
-    return McResult(f, se, n_samples, seed)
+        return total <= x
+
+    return _mc_fraction(n_samples, seed, _CHUNK, draw)
 
 
 def _cholesky_lower(mat, what):
@@ -134,8 +147,6 @@ def mc_qform(sigma, c, x, n_samples=1000000, seed=0):
     Cholesky factor of Sigma. Sigma and C are checked as the analytic
     route checks them (symmetric, of one order, positive definite), so
     the simulated form has the same domain."""
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     if not math.isfinite(x):
         raise DomainError(f"mc_qform requires finite x, got {x!r}")
     sigma = _as_sym(sigma)
@@ -144,20 +155,12 @@ def mc_qform(sigma, c, x, n_samples=1000000, seed=0):
         raise DomainError(f"dimension mismatch: sigma is {sigma.dim}, c is {c.dim}")
     l = _cholesky_lower(sigma, "sigma")
     _cholesky_lower(c, "c")
-    rng = np.random.default_rng(seed)
-    dim = sigma.dim
-    hits = 0
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        z = rng.standard_normal((m, dim))
-        xx = z @ l.T
-        quad = ((xx @ c.entries) * xx).sum(axis=1)
-        hits += int(np.count_nonzero(quad <= x))
-        done += m
-    f = hits / n_samples
-    se = math.sqrt(max(f * (1.0 - f), 1.0 / n_samples) / n_samples)
-    return McResult(f, se, n_samples, seed)
+
+    def draw(rng, m):
+        xx = rng.standard_normal((m, sigma.dim)) @ l.T
+        return ((xx @ c.entries) * xx).sum(axis=1) <= x
+
+    return _mc_fraction(n_samples, seed, _CHUNK, draw)
 
 
 def mc_mvgamma(alpha, sigma, xs, n_samples=1000000, seed=0):
@@ -174,27 +177,18 @@ def mc_mvgamma(alpha, sigma, xs, n_samples=1000000, seed=0):
     if not np.isfinite(xs).all():
         raise DomainError("xs must be finite")
     two_alpha = 2.0 * alpha
-    df = int(round(two_alpha))
+    df = round(two_alpha) if math.isfinite(two_alpha) else 0
     if df < 1 or abs(two_alpha - df) > 1e-12:
         raise DomainError(
             f"mc_mvgamma requires 2 alpha to be a positive integer, got alpha={alpha!r}"
         )
-    if n_samples < 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
     l = _cholesky_lower(sigma, "sigma")
-    rng = np.random.default_rng(seed)
-    dim = sigma.dim
-    chunk = max(1, _CHUNK // df)
-    hits = 0
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        acc = np.zeros((m, dim))
+
+    def draw(rng, m):
+        acc = np.zeros((m, sigma.dim))
         for _ in range(df):
-            z = rng.standard_normal((m, dim)) @ l.T
+            z = rng.standard_normal((m, sigma.dim)) @ l.T
             acc += z * z
-        hits += int(np.count_nonzero((0.5 * acc <= xs).all(axis=1)))
-        done += m
-    f = hits / n_samples
-    se = math.sqrt(max(f * (1.0 - f), 1.0 / n_samples) / n_samples)
-    return McResult(f, se, n_samples, seed)
+        return (0.5 * acc <= xs).all(axis=1)
+
+    return _mc_fraction(n_samples, seed, max(1, _CHUNK // df), draw)

@@ -7,27 +7,17 @@ Gamma(1/2) variables scaled by 2 mu_j. The CDF at x is therefore the
 gamma-sum CDF with shapes (1/2, ..., 1/2) and scales mu evaluated at
 x/2 (scales folded as mu, argument halved).
 
-Eigenvalues come from a cyclic Jacobi iteration written here: the one
-linear-algebra kernel the reduction actually depends on, kept
-independent of the LAPACK path used by the Monte Carlo cross-check.
+Both eigensolves, of Sigma for its square root and of M for mu, go
+through jacobi_eigen, which is LAPACK's symmetric solver (numpy's eigh).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import GammaSumParams, QuadratureConfig, cdf
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GammaSumError,
-    NotPositiveDefiniteError,
-)
+from .errors import DomainError, GammaSumError, NotPositiveDefiniteError
 
-_JACOBI_SWEEPS = 100
 _POSDEF_REL = 1e-14
 
 
@@ -65,69 +55,14 @@ def _as_sym(mat):
     return mat if isinstance(mat, SymMatrix) else SymMatrix(mat)
 
 
-@dataclass(eq=False)
-class EigenDecomp:
-    """Eigenvalues (ascending) and the matching orthonormal column vectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def jacobi_eigen(mat):
-    """Full eigendecomposition of a SymMatrix by cyclic Jacobi rotations.
+    """Ascending eigenvalues and orthonormal eigenvectors of a SymMatrix.
 
-    Sweeps the strict upper triangle, zeroing each pivot with the
-    standard stable rotation, until the off-diagonal Frobenius norm is
-    at most 1e-14 times the Frobenius norm of the input. Converges
-    quadratically; 100 sweeps is far beyond any symmetric matrix of the
-    sizes this library handles, so hitting the cap signals corrupted
-    input and raises ConvergenceError.
+    This is LAPACK's symmetric eigensolver through np.linalg.eigh and
+    returns its (values, vectors) pair. The name predates the switch to
+    LAPACK and is kept so callers and profilers that bind it stay valid.
     """
-    mat = _as_sym(mat)
-    a = mat.entries.copy()
-    n = mat.dim
-    v = np.eye(n)
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return EigenDecomp(np.zeros(n), v)
-    for sweep in range(_JACOBI_SWEEPS + 1):
-        off = math.sqrt(2.0 * float((np.triu(a, 1) ** 2).sum()))
-        if off <= 1e-14 * norm:
-            break
-        if sweep == _JACOBI_SWEEPS:
-            raise ConvergenceError("jacobi iteration exceeded the sweep limit")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                elif abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    order = np.argsort(np.diag(a), kind="stable")
-    return EigenDecomp(np.diag(a)[order].copy(), v[:, order].copy())
+    return np.linalg.eigh(_as_sym(mat).entries)
 
 
 def _check_posdef(values, dim, what):
@@ -137,15 +72,6 @@ def _check_posdef(values, dim, what):
             f"{what} is not positive definite (eigenvalue floor "
             f"{dim * _POSDEF_REL * wmax:.3g})"
         )
-
-
-def sym_sqrt(mat):
-    """Symmetric positive definite square root V sqrt(w) V'."""
-    mat = _as_sym(mat)
-    dec = jacobi_eigen(mat)
-    _check_posdef(dec.values, mat.dim, "matrix")
-    root = (dec.vectors * np.sqrt(dec.values)) @ dec.vectors.T
-    return SymMatrix(0.5 * (root + root.T))
 
 
 def qform_eigenvalues(sigma, c):
@@ -159,11 +85,14 @@ def qform_eigenvalues(sigma, c):
         raise DomainError(
             f"dimension mismatch: sigma is {sigma.dim}, c is {c.dim}"
         )
-    s = sym_sqrt(sigma).entries
+    w, v = jacobi_eigen(sigma)
+    _check_posdef(w, sigma.dim, "matrix")
+    root = (v * np.sqrt(w)) @ v.T
+    s = 0.5 * (root + root.T)
     m = s @ c.entries @ s
-    dec = jacobi_eigen(SymMatrix(0.5 * (m + m.T)))
-    _check_posdef(dec.values, sigma.dim, "sigma^(1/2) c sigma^(1/2)")
-    return dec.values
+    mu, _ = jacobi_eigen(SymMatrix(0.5 * (m + m.T)))
+    _check_posdef(mu, sigma.dim, "sigma^(1/2) c sigma^(1/2)")
+    return mu
 
 
 def qform_cdf(sigma, c, x, cfg=None):

@@ -1,9 +1,9 @@
 """Scalar special functions on which the rest of the package builds.
 
-Real log-gamma, the gamma density, the regularized lower incomplete gamma
-function P(a, x) and the error function. All routines are pure functions
-of their arguments and hold no shared mutable state, so they are safe to
-call from any number of threads.
+The gamma density and the regularized lower incomplete gamma function
+P(a, x). All routines are pure functions of their arguments and hold no
+shared mutable state, so they are safe to call from any number of
+threads.
 
 No NaN or infinity is returned from a public operation: out-of-domain
 inputs raise DomainError and magnitudes that cannot be represented raise
@@ -24,25 +24,7 @@ MAXLOG = 709.782712893384
 _BIG = 4.503599627370496e15
 _BIGINV = 2.220446049250313e-16
 
-_HALF_LOG_TWO_PI = 0.9189385332046727
 _MAX_ITER = 200000
-
-
-def log_gamma(a):
-    """Natural log of the gamma function for a > 0.
-
-    Args:
-        a: positive real argument.
-
-    Returns:
-        ln Gamma(a).
-
-    Raises:
-        DomainError: if a <= 0 or a is not finite.
-    """
-    if not (a > 0.0) or not math.isfinite(a):
-        raise DomainError(f"log_gamma requires a > 0, got {a!r}")
-    return math.lgamma(a)
 
 
 def gamma_pdf(a, x):
@@ -196,15 +178,3 @@ def reg_lower_gamma(a, x):
         return _igam_series(a, x)
     return 1.0 - _igam_cf(a, x)
 
-
-def erf(x):
-    """Error function with exact odd symmetry: erf(-x) == -erf(x).
-
-    Kept independent of reg_lower_gamma so the identity
-    P(1/2, x^2) = erf(x) can serve as a cross-check between the two.
-    """
-    if math.isnan(x):
-        raise DomainError("erf is undefined for NaN")
-    if x == 0.0:
-        return 0.0
-    return math.copysign(math.erf(abs(x)), x)

@@ -11,20 +11,6 @@ import math
 import numpy as np
 
 
-def taylor_erf(x):
-    """erf by its Maclaurin series; accurate to ~1e-15 for |x| <= 3."""
-    total = 0.0
-    term = x
-    n = 0
-    while abs(term) > 1e-18 * max(1.0, abs(total)):
-        total += term / (2 * n + 1)
-        n += 1
-        term *= -x * x / n
-        if n > 200:
-            break
-    return 2.0 / math.sqrt(math.pi) * total
-
-
 def hypoexp_cdf(lambdas, x):
     """CDF of a sum of independent exponentials with distinct scales.
 

@@ -51,6 +51,11 @@ def test_params_validation():
     assert p4.dim == 4
     with pytest.raises(DomainError):
         MvGammaParams(1.0, SymMatrix(np.eye(5)), max_dim=5)  # hard cap
+    for bad in (3.5, math.inf, "x"):
+        with pytest.raises(DomainError, match="max_dim"):
+            MvGammaParams(1.0, SIGMA_2, max_dim=bad)
+    p3 = MvGammaParams(1.0, SIGMA_2, max_dim=3.0)
+    assert p3.max_dim == 3 and type(p3.max_dim) is int
 
 
 def test_existence_caveat():

@@ -57,6 +57,16 @@ def test_series_coefficients_dominated():
         assert (np.abs(b) <= beta * (1.0 + 1e-12) + 1e-300).all()
 
 
+def test_series_coefficients_change_sign():
+    # lambdas (1, 3), alphas (3, 1) give c = (-1/2, 1/2), and
+    # (1 + y/2)^-3 (1 - y/2)^-1 = 1 - y + y^2 - 3/4 y^3 + 9/16 y^4 - ...
+    p = GammaSumParams((3.0, 1.0), (1.0, 3.0))
+    b = series_coefficients(derive_params(p), 5)
+    assert np.abs(b - [1.0, -1.0, 1.0, -0.75, 0.5625]).max() <= 1e-15
+    for x in (0.5, 4.0, 12.0):
+        assert abs(series_cdf(p, x).value - cdf(p, x).value) <= 1e-10
+
+
 def test_series_cdf_reference_values():
     res = series_cdf(GammaSumParams((0.7, 1.3, 2.0), (0.5, 1.0, 4.0)), 6.0)
     assert abs(res.value - REF_CDF_MIXED) <= 1e-10
@@ -160,6 +170,9 @@ def test_mc_mvgamma_against_independent_mixture_value():
 def test_mc_mvgamma_requires_half_integer_shape():
     with pytest.raises(DomainError):
         mc_mvgamma(0.8, [[1.0, 0.0], [0.0, 1.0]], (1.0, 1.0), 100)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="alpha"):
+            mc_mvgamma(bad, np.eye(2), (1.0, 1.0), 100)
     res = mc_mvgamma(0.5, np.eye(2), (0.8, 1.3), 100000, seed=17)
     want = reg_lower_gamma(0.5, 0.8) * reg_lower_gamma(0.5, 1.3)
     assert abs(res.estimate - want) <= 4.0 * res.std_error
@@ -169,6 +182,16 @@ def test_mc_sample_count_validation():
     p = GammaSumParams((1.0,), (1.0,))
     with pytest.raises(DomainError):
         mc_cdf(p, 1.0, 0)
+    # non-integral, non-finite and non-numeric counts fail before any
+    # draw; an infinite count would otherwise never finish
+    for bad in (100.5, math.inf, math.nan, "100", None):
+        with pytest.raises(DomainError, match="n_samples"):
+            mc_cdf(p, 1.0, bad)
+        with pytest.raises(DomainError, match="n_samples"):
+            mc_qform(np.eye(2), np.eye(2), 1.0, bad)
+        with pytest.raises(DomainError, match="n_samples"):
+            mc_mvgamma(1.0, np.eye(2), (1.0, 1.0), bad)
+    assert mc_cdf(p, 1.0, 1000.0, seed=3) == mc_cdf(p, 1.0, 1000, seed=3)
 
 
 def test_mc_routes_reject_non_finite_points():

@@ -1,4 +1,4 @@
-"""Quadratic form reduction: symmetric matrices, Jacobi, CDF bridge."""
+"""Quadratic form reduction: symmetric matrices, eigensolver, CDF bridge."""
 
 import math
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from gammasum.errors import DomainError, NotPositiveDefiniteError
-from gammasum.qform import (
-    SymMatrix,
-    jacobi_eigen,
-    qform_cdf,
-    qform_eigenvalues,
-    sym_sqrt,
-)
+from gammasum.qform import SymMatrix, jacobi_eigen, qform_cdf, qform_eigenvalues
 from gammasum.special import reg_lower_gamma
 
 from helpers import random_spd
@@ -52,8 +46,8 @@ def test_jacobi_hilbert_reference():
     h = SymMatrix(
         [[1.0, 1 / 2, 1 / 3], [1 / 2, 1 / 3, 1 / 4], [1 / 3, 1 / 4, 1 / 5]]
     )
-    dec = jacobi_eigen(h)
-    for got, want in zip(dec.values, HILBERT3_EIGS):
+    w, _ = jacobi_eigen(h)
+    for got, want in zip(w, HILBERT3_EIGS):
         assert abs(got - want) <= 1e-13
 
 
@@ -64,39 +58,20 @@ def test_jacobi_random_sweep():
         a = random_spd(rng, dim, cond_max=50.0)
         a = a - 0.5 * float(a.trace() / dim) * np.eye(dim)  # mixed signs
         a = 0.5 * (a + a.T)
-        dec = jacobi_eigen(SymMatrix(a))
+        w, v = jacobi_eigen(SymMatrix(a))
         scale = np.linalg.norm(a)
         # eigen equation, orthonormality, ascending order
-        resid = a @ dec.vectors - dec.vectors * dec.values
+        resid = a @ v - v * w
         assert np.abs(resid).max() <= 1e-10 * max(1.0, scale)
-        assert np.abs(
-            dec.vectors.T @ dec.vectors - np.eye(dim)
-        ).max() <= 1e-10
-        assert (np.diff(dec.values) >= -1e-14 * max(1.0, scale)).all()
+        assert np.abs(v.T @ v - np.eye(dim)).max() <= 1e-10
+        assert (np.diff(w) >= -1e-14 * max(1.0, scale)).all()
 
 
 def test_jacobi_zero_and_diagonal():
-    dec = jacobi_eigen(SymMatrix(np.zeros((3, 3))))
-    assert np.all(dec.values == 0.0)
-    dec = jacobi_eigen(SymMatrix(np.diag([3.0, -1.0, 2.0])))
-    assert np.allclose(dec.values, [-1.0, 2.0, 3.0], atol=0.0)
-
-
-def test_sym_sqrt_squares_back():
-    rng = np.random.default_rng(89)
-    for _ in range(20):
-        dim = int(rng.integers(1, 6))
-        a = random_spd(rng, dim)
-        s = sym_sqrt(SymMatrix(a))
-        back = s.entries @ s.entries
-        assert np.abs(back - 0.5 * (a + a.T)).max() <= 1e-10 * np.abs(a).max()
-
-
-def test_sym_sqrt_rejects_indefinite():
-    with pytest.raises(NotPositiveDefiniteError):
-        sym_sqrt(SymMatrix([[1.0, 0.0], [0.0, -1.0]]))
-    with pytest.raises(NotPositiveDefiniteError):
-        sym_sqrt(SymMatrix([[1.0, 1.0], [1.0, 1.0]]))  # singular
+    w, _ = jacobi_eigen(SymMatrix(np.zeros((3, 3))))
+    assert np.all(w == 0.0)
+    w, _ = jacobi_eigen(SymMatrix(np.diag([3.0, -1.0, 2.0])))
+    assert np.allclose(w, [-1.0, 2.0, 3.0], atol=0.0)
 
 
 def test_qform_eigenvalues_reference():
@@ -113,6 +88,15 @@ def test_qform_eigenvalues_validation():
         qform_eigenvalues([[1.0, 2.0], [2.0, 1.0]], np.eye(2))
     with pytest.raises(NotPositiveDefiniteError):
         qform_eigenvalues(np.eye(2), [[0.0, 0.0], [0.0, 1.0]])
+
+
+def test_sym_sqrt_rejects_indefinite():
+    # Sigma^(1/2) is taken inside qform_eigenvalues; an indefinite or
+    # singular Sigma has no such root and must be refused.
+    with pytest.raises(NotPositiveDefiniteError):
+        qform_eigenvalues([[1.0, 0.0], [0.0, -1.0]], np.eye(2))
+    with pytest.raises(NotPositiveDefiniteError):
+        qform_eigenvalues([[1.0, 1.0], [1.0, 1.0]], np.eye(2))  # singular
 
 
 def test_qform_cdf_reference_value():
