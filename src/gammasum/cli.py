@@ -5,9 +5,12 @@ same job executor as the line-delimited batch mode, so an interactive
 invocation and the equivalent batch record produce byte-identical
 output. Each of these commands is one entry of a command table: its
 params, its input parser and its routes by method (integral, series,
-mc). One executor checks a job's params and quadrature settings,
+mc). The interactive flags come from the same table: every flag is
+declared once, in _FLAGS, and the argparse tree is built once per
+process. One executor checks a job's params and quadrature settings,
 dispatches it to the route and builds its record, for every command
-and method alike. Results are JSON by default with a stable key set:
+and method alike. A number must be finite, and a JSON boolean is not
+one. Results are JSON by default with a stable key set:
 
     {command, input_echo, cdf | quantile, err_estimate, converged,
      r_used, nodes_used, warnings}
@@ -48,6 +51,7 @@ from .errors import (
     DomainError,
     GammaSumError,
     NotPositiveDefiniteError,
+    _real,
 )
 from .genfun import g_series
 from .mvgamma import MvGammaParams, existence_caveat, mv_cdf
@@ -56,7 +60,7 @@ from .qform import SymMatrix, qform_cdf
 from .special import reg_lower_gamma
 
 _FORMATS = ("json", "csv", "plain")
-_QUAD_KEYS = ("r", "n_start", "n_max", "tol")
+_QUAD_KEYS = ("r", "tol", "n_start", "n_max")
 
 _log = logging.getLogger("gammasum.cli")
 
@@ -118,16 +122,6 @@ def _fmt15(v):
     return float(f"{v:.15g}")
 
 
-def _parse_float(value, name):
-    try:
-        v = float(value)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{name} must be a number, got {value!r}") from exc
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return v
-
-
 def _parse_int(value, name):
     """An integer, from a decimal string or an integral finite number
     (JSON 1e6 arrives as a float)."""
@@ -145,16 +139,16 @@ def _parse_floats(value, name):
     """Accept a list of numbers or a comma/space separated string."""
     if isinstance(value, str):
         parts = [p for p in re.split(r"[,\s]+", value.strip()) if p]
-        return tuple(_parse_float(p, name) for p in parts)
+        return tuple(_real(p, name) for p in parts)
     if isinstance(value, (list, tuple)):
         out = []
         for item in value:
             if isinstance(item, str):
                 out.extend(_parse_floats(item, name))
             else:
-                out.append(_parse_float(item, name))
+                out.append(_real(item, name))
         return tuple(out)
-    return (_parse_float(value, name),)
+    return (_real(value, name),)
 
 
 def _parse_matrix(value, name):
@@ -193,12 +187,12 @@ def _quad_config(overrides):
     if "r" in kwargs:
         r = kwargs["r"]
         auto = isinstance(r, str) and r.strip().lower() == "auto"
-        kwargs["r"] = None if auto else _parse_float(r, "r")
+        kwargs["r"] = None if auto else _real(r, "r")
     for key in ("n_start", "n_max"):
         if key in kwargs:
             kwargs[key] = _parse_int(kwargs[key], key)
     if "tol" in kwargs:
-        kwargs["tol"] = _parse_float(kwargs["tol"], "tol")
+        kwargs["tol"] = _real(kwargs["tol"], "tol")
     return QuadratureConfig(**kwargs)
 
 
@@ -220,7 +214,7 @@ def _parse_gamma_sum(p, point="x"):
     warnings). The quantile command reads its probability as the point."""
     alphas = _parse_floats(p["alphas"], "alphas")
     lambdas = _parse_floats(p["lambdas"], "lambdas")
-    at = _parse_float(p[point], point)
+    at = _real(p[point], point)
     params = GammaSumParams(alphas, lambdas)
     echo = {
         "alphas": [_fmt15(a) for a in params.alphas],
@@ -233,13 +227,13 @@ def _parse_gamma_sum(p, point="x"):
 def _parse_qform(p):
     sigma = _parse_matrix(p["sigma"], "sigma")
     cmat = _parse_matrix(p["c"], "c")
-    x = _parse_float(p["x"], "x")
+    x = _real(p["x"], "x")
     echo = {"sigma": _matrix_echo(sigma), "c": _matrix_echo(cmat), "x": _fmt15(x)}
     return (sigma, cmat, x), echo, []
 
 
 def _parse_mvgamma(p):
-    alpha = _parse_float(p["alpha"], "alpha")
+    alpha = _real(p["alpha"], "alpha")
     sigma = _parse_matrix(p["sigma"], "sigma")
     xs = _parse_floats(p["xs"], "xs")
     max_dim = _parse_int(p.get("max_dim", 3), "max_dim")
@@ -280,10 +274,12 @@ def _quantile_route(model, cfg, mc):
 
 @dataclass(frozen=True)
 class _Command:
-    """One command: its params, the parser that validates them into
-    (model, input_echo, warnings), and its routes by method name.
-    Missing required params are reported in the order given here."""
+    """One command: its help line, its params, the parser that validates
+    them into (model, input_echo, warnings), and its routes by method
+    name. Missing required params are reported in the order given here,
+    and the command's flags are declared in it."""
 
+    help: str
     required: tuple
     parse: object
     routes: dict
@@ -293,6 +289,7 @@ class _Command:
 
 _TABLE = {
     "gamma-sum": _Command(
+        "CDF of sum_j lambda_j Gamma(alpha_j)",
         ("alphas", "lambdas", "x"),
         _parse_gamma_sum,
         {
@@ -302,6 +299,7 @@ _TABLE = {
         },
     ),
     "qform": _Command(
+        "CDF of z' C z for z ~ N(0, Sigma)",
         ("sigma", "c", "x"),
         _parse_qform,
         {
@@ -310,6 +308,7 @@ _TABLE = {
         },
     ),
     "mvgamma": _Command(
+        "joint CDF of a multivariate gamma",
         ("alpha", "sigma", "xs"),
         _parse_mvgamma,
         {
@@ -321,6 +320,7 @@ _TABLE = {
         optional=("method", "max_dim", "n_samples", "seed"),
     ),
     "quantile": _Command(
+        "inverse CDF of the gamma sum",
         ("alphas", "lambdas", "prob"),
         lambda p: _parse_gamma_sum(p, "prob"),
         {"integral": _quantile_route},
@@ -534,25 +534,36 @@ def _run_batch(path, out):
     return 0
 
 
-def _add_quad_flags(sub):
-    sub.add_argument("--r", default="auto",
-                     help="contour radius in (c_max, 1), or 'auto'")
-    sub.add_argument("--tol", type=float, default=None,
-                     help="quadrature tolerance (default 1e-10)")
-    sub.add_argument("--n-start", type=int, default=None,
-                     help="initial node count (default 16)")
-    sub.add_argument("--n-max", type=int, default=None,
-                     help="node cap (default 65536)")
-
-
-def _add_mc_flags(sub):
-    sub.add_argument("--n-samples", type=int, default=None,
-                     help="Monte Carlo sample count (default 1000000)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="Monte Carlo seed (default 0)")
+# The argparse keywords of each flag, declared once and shared by every
+# command that takes it; param n_max is flag --n-max. Types and defaults
+# shape job.params, which error records echo and the golden file pins.
+_FLAGS = {
+    "alphas": {"nargs": "+", "help": "shape values"},
+    "lambdas": {"nargs": "+", "help": "scale values"},
+    "x": {"type": float, "help": "evaluation point"},
+    "prob": {"type": float, "help": "probability in (0, 1)"},
+    "sigma": {"help": "matrix: I<k>, diag:a,b,..., or JSON rows"},
+    "c": {"help": "matrix, same syntax"},
+    "alpha": {"type": float, "help": "shape value"},
+    "xs": {"nargs": "+", "help": "thresholds"},
+    "method": {"default": "integral", "help": "route (default integral)"},
+    "max_dim": {"type": int, "default": 3, "help": "dimension limit (hard cap 4)"},
+    "n_samples": {"type": int,
+                  "help": "Monte Carlo sample count (default 1000000)"},
+    "seed": {"type": int, "help": "Monte Carlo seed (default 0)"},
+    "r": {"default": "auto", "help": "contour radius in (c_max, 1), or 'auto'"},
+    "tol": {"type": float, "help": "quadrature tolerance (default 1e-10)"},
+    "n_start": {"type": int, "help": "initial node count (default 16)"},
+    "n_max": {"type": int, "help": "node cap (default 65536)"},
+    "format": {"choices": _FORMATS, "default": "json",
+               "help": "output format (default json)"},
+}
 
 
 def _build_parser():
+    """The argparse tree: one subcommand per _TABLE entry, flagged with
+    its required params, its optional params, the quadrature keys and
+    --format, in that order; then selfcheck and batch."""
     parser = argparse.ArgumentParser(
         prog="gammasum",
         description=(
@@ -561,52 +572,21 @@ def _build_parser():
         ),
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    gs = subs.add_parser("gamma-sum", help="CDF of sum_j lambda_j Gamma(alpha_j)")
-    gs.add_argument("--alphas", nargs="+", required=True, help="shape values")
-    gs.add_argument("--lambdas", nargs="+", required=True, help="scale values")
-    gs.add_argument("--x", type=float, required=True, help="evaluation point")
-    gs.add_argument("--method", choices=tuple(_TABLE["gamma-sum"].routes),
-                    default="integral")
-    _add_mc_flags(gs)
-
-    qt = subs.add_parser("quantile", help="inverse CDF of the gamma sum")
-    qt.add_argument("--alphas", nargs="+", required=True)
-    qt.add_argument("--lambdas", nargs="+", required=True)
-    qt.add_argument("--prob", type=float, required=True,
-                    help="probability in (0, 1)")
-
-    qf = subs.add_parser("qform", help="CDF of z' C z for z ~ N(0, Sigma)")
-    qf.add_argument("--sigma", required=True,
-                    help="matrix: I<k>, diag:a,b,..., or JSON rows")
-    qf.add_argument("--c", required=True, help="matrix, same syntax")
-    qf.add_argument("--x", type=float, required=True)
-    qf.add_argument("--method", choices=tuple(_TABLE["qform"].routes),
-                    default="integral")
-    _add_mc_flags(qf)
-
-    mv = subs.add_parser("mvgamma", help="joint CDF of a multivariate gamma")
-    mv.add_argument("--alpha", type=float, required=True)
-    mv.add_argument("--sigma", required=True,
-                    help="matrix: I<k>, diag:a,b,..., or JSON rows")
-    mv.add_argument("--xs", nargs="+", required=True, help="thresholds")
-    mv.add_argument("--method", choices=tuple(_TABLE["mvgamma"].routes),
-                    default="integral")
-    mv.add_argument("--max-dim", type=int, default=3,
-                    help="dimension limit (hard cap 4)")
-    _add_mc_flags(mv)
-
+    for name, cmd in _TABLE.items():
+        sub = subs.add_parser(name, help=cmd.help)
+        for key in (*cmd.required, *cmd.optional, *_QUAD_KEYS, "format"):
+            kwargs = dict(_FLAGS[key], required=key in cmd.required)
+            if key == "method":
+                kwargs["choices"] = tuple(cmd.routes)
+            sub.add_argument("--" + key.replace("_", "-"), **kwargs)
     sc = subs.add_parser("selfcheck", help="run the built-in check suite")
-    for sub in (gs, qt, qf, mv):
-        _add_quad_flags(sub)
-    for sub in (gs, qt, qf, mv, sc):
-        sub.add_argument("--format", choices=_FORMATS, default="json",
-                         help="output format (default json)")
-
+    sc.add_argument("--format", **_FLAGS["format"])
     bt = subs.add_parser("batch", help="run line-delimited JobSpec records")
     bt.add_argument("input", help="path to a JSONL file, or - for stdin")
-
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _job_from_args(args):
@@ -630,9 +610,8 @@ def run(argv=None, out=None):
             format="%(name)s %(levelname)s %(message)s",
         )
     out = sys.stdout if out is None else out
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     if args.command == "batch":

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError, _integer, _real
 from .genfun import _gamma_tail_coefficients, _horner
 from .special import reg_lower_gamma
 
@@ -60,20 +59,20 @@ class GammaSumParams:
 
     def __post_init__(self):
         try:
-            alphas = tuple(float(a) for a in self.alphas)
-            lambdas = tuple(float(l) for l in self.lambdas)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"parameters must be numeric: {exc}") from exc
+            alphas = tuple(_real(a, "shapes") for a in self.alphas)
+            lambdas = tuple(_real(l, "scales") for l in self.lambdas)
+        except TypeError as exc:
+            raise DomainError(f"parameters must be sequences: {exc}") from exc
         if len(alphas) == 0 or len(alphas) != len(lambdas):
             raise DomainError(
                 "alphas and lambdas must have equal nonzero length, got "
                 f"{len(alphas)} and {len(lambdas)}"
             )
         for a in alphas:
-            if not (a > 0.0) or not math.isfinite(a):
+            if not a > 0.0:
                 raise DomainError(f"shapes must be positive and finite, got {a!r}")
         for l in lambdas:
-            if not (l > 0.0) or not math.isfinite(l):
+            if not l > 0.0:
                 raise DomainError(f"scales must be positive and finite, got {l!r}")
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "lambdas", lambdas)
@@ -103,14 +102,6 @@ class DerivedParams:
     alpha_total: float
     c_max_abs: float
     log_prefactor: float
-
-
-def _integer(value, name, error):
-    """A real number with an integral value (3 or 3.0), as an int;
-    anything else, NaN and infinities included, raises error."""
-    if isinstance(value, numbers.Real) and value % 1 == 0:
-        return int(value)
-    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -314,8 +305,7 @@ def cdf(p, x, cfg=None):
             estimate in its ``estimate`` attribute.
     """
     cfg = QuadratureConfig() if cfg is None else cfg
-    if not math.isfinite(x):
-        raise DomainError(f"cdf requires finite x, got {x!r}")
+    x = _real(x, "x")
     d = derive_params(p)
     r = _radius(d.c_max_abs, cfg)
     if x <= 0.0:
@@ -339,6 +329,7 @@ def quantile(p, prob, cfg=None):
     that the quadrature tolerance cannot separate them from 0 or 1 raise
     ConvergenceError rather than returning a sham root.
     """
+    prob = _real(prob, "prob")
     if not (0.0 < prob < 1.0):
         raise DomainError(f"quantile requires 0 < prob < 1, got {prob!r}")
     cfg = QuadratureConfig() if cfg is None else cfg

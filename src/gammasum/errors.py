@@ -3,9 +3,17 @@
 Every error raised deliberately by this package derives from GammaSumError,
 so callers can catch one base type at an API boundary. Validation failures
 additionally derive from ValueError to stay friendly to generic callers.
+
+The two scalar checks every entry point applies to its numeric
+arguments, _real and _integer, live here too: the special functions and
+the generating function sit below core in the import order, and they
+share the checks with it.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class GammaSumError(Exception):
@@ -46,3 +54,26 @@ class BranchTrackingError(GammaSumError):
 
 class NormalizationError(GammaSumError):
     """The built-in normalization self-test failed."""
+
+
+def _real(value, name):
+    """A finite float, from a real number or a numeric string; anything
+    else, booleans, NaN and infinities included, raises DomainError."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or isinstance(value, bool):
+        raise DomainError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return v
+
+
+def _integer(value, name, error):
+    """A real number with an integral value (3 or 3.0), as an int;
+    anything else, booleans, NaN and infinities included, raises error."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and value % 1 == 0):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")

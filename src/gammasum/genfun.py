@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _real
 from .special import _log_front, reg_lower_gamma
 
 _TERM_CAP = 200000
@@ -144,15 +144,18 @@ def g_series(a, x, y, tol=1e-12, max_terms=10000):
         DomainError: out-of-domain a, x, y, or tol.
         ConvergenceError: if max_terms is exceeded.
     """
-    if not (a > 0.0) or not math.isfinite(a):
+    a = _real(a, "a")
+    x = _real(x, "x")
+    if not a > 0.0:
         raise DomainError(f"g_series requires a > 0, got {a!r}")
-    if not (x >= 0.0) or not math.isfinite(x):
+    if not x >= 0.0:
         raise DomainError(f"g_series requires x >= 0, got {x!r}")
     y = complex(y)
     if not (math.isfinite(y.real) and math.isfinite(y.imag)):
         raise DomainError("g_series requires finite y")
     if abs(y) > 1.0 - 1e-6:
         raise DomainError("g_series requires |y| <= 1 - 1e-6")
+    tol = _real(tol, "tol")
     if tol < 1e-15:
         raise DomainError("g_series requires tol >= 1e-15")
     coeffs, bound = _geometric_coefficients(a, x, abs(y), tol, max_terms)

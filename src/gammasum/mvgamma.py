@@ -37,19 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CdfEstimate,
-    QuadratureConfig,
-    _doublings,
-    _integer,
-    _radius,
-    _refine,
-)
+from .core import CdfEstimate, QuadratureConfig, _doublings, _radius, _refine
 from .errors import (
     BranchTrackingError,
     ConfigError,
     DomainError,
     NormalizationError,
+    _integer,
+    _real,
 )
 from .genfun import _geometric_coefficients, _horner
 from .qform import SymMatrix, _as_sym, _check_posdef, jacobi_eigen
@@ -73,8 +68,8 @@ class MvGammaParams:
     max_dim: int = 3
 
     def __post_init__(self):
-        alpha = float(self.alpha)
-        if not (alpha > 0.0) or not math.isfinite(alpha):
+        alpha = _real(self.alpha, "alpha")
+        if not alpha > 0.0:
             raise DomainError(f"alpha must be positive and finite, got {self.alpha!r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "sigma", _as_sym(self.sigma))
@@ -295,11 +290,9 @@ def mv_cdf(p, xs, cfg=None):
             f"n_start = {cfg.n_start} allows no doubling within {n_cap} "
             "nodes per axis"
         )
-    xs = tuple(float(x) for x in xs)
+    xs = tuple(_real(x, "xs") for x in xs)
     if len(xs) != p.dim:
         raise DomainError(f"xs must have length {p.dim}, got {len(xs)}")
-    if not all(math.isfinite(x) for x in xs):
-        raise DomainError("xs must be finite")
     d = mv_derive(p)
     r = _radius(d.spectral_norm_c, cfg)
     if min(xs) <= 0.0:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _integer, _paired_coefficients, derive_params
-from .errors import DomainError, NotPositiveDefiniteError
+from .core import _paired_coefficients, derive_params
+from .errors import DomainError, NotPositiveDefiniteError, _integer, _real
 from .qform import _as_sym
 from .special import reg_lower_gamma
 
@@ -80,10 +80,9 @@ def series_cdf(p, x, tol=1e-10):
     Raises:
         ConvergenceError: if N would exceed the package's term cap.
     """
-    if not (x >= 0.0) or not math.isfinite(x):
-        if x < 0.0:
-            return SeriesResult(0.0, 0, 0.0)
-        raise DomainError(f"series_cdf requires finite x, got {x!r}")
+    x = _real(x, "x")
+    if x < 0.0:
+        return SeriesResult(0.0, 0, 0.0)
     d = derive_params(p)
     vx = d.v * x
     pref = math.exp(d.log_prefactor)
@@ -121,8 +120,7 @@ def mc_cdf(p, x, n_samples=1000000, seed=0):
 
     Gamma variates come from Generator.standard_gamma; the estimate is
     deterministic for fixed (seed, n_samples)."""
-    if not math.isfinite(x):
-        raise DomainError(f"mc_cdf requires finite x, got {x!r}")
+    x = _real(x, "x")
 
     def draw(rng, m):
         total = np.zeros(m)
@@ -147,8 +145,7 @@ def mc_qform(sigma, c, x, n_samples=1000000, seed=0):
     Cholesky factor of Sigma. Sigma and C are checked as the analytic
     route checks them (symmetric, of one order, positive definite), so
     the simulated form has the same domain."""
-    if not math.isfinite(x):
-        raise DomainError(f"mc_qform requires finite x, got {x!r}")
+    x = _real(x, "x")
     sigma = _as_sym(sigma)
     c = _as_sym(c)
     if sigma.dim != c.dim:
@@ -171,12 +168,11 @@ def mc_mvgamma(alpha, sigma, xs, n_samples=1000000, seed=0):
     N(0, Sigma), the diagonal of a Wishart matrix, and counts the
     fraction of draws with every component at or below its xs entry."""
     sigma = _as_sym(sigma)
-    xs = np.asarray(xs, dtype=float)
+    xs = np.asarray(xs, dtype=object)
     if xs.shape != (sigma.dim,):
         raise DomainError(f"xs must have length {sigma.dim}, got shape {xs.shape}")
-    if not np.isfinite(xs).all():
-        raise DomainError("xs must be finite")
-    two_alpha = 2.0 * alpha
+    xs = np.array([_real(x, "xs") for x in xs])
+    two_alpha = 2.0 * _real(alpha, "alpha")
     df = round(two_alpha) if math.isfinite(two_alpha) else 0
     if df < 1 or abs(two_alpha - df) > 1e-12:
         raise DomainError(

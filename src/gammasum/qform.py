@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import GammaSumParams, QuadratureConfig, cdf
-from .errors import DomainError, GammaSumError, NotPositiveDefiniteError
+from .errors import DomainError, GammaSumError, NotPositiveDefiniteError, _real
 
 _POSDEF_REL = 1e-14
 
@@ -102,6 +102,7 @@ def qform_cdf(sigma, c, x, cfg=None):
     at the point x/2, after verifying the determinant identity
     prod(mu) = det(Sigma) det(C) to relative 1e-6 as a corruption guard
     on the eigenvalue path."""
+    x = _real(x, "x")
     sigma = _as_sym(sigma)
     c = _as_sym(c)
     mu = qform_eigenvalues(sigma, c)

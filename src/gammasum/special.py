@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConvergenceError, DomainError, PrecisionError
+from .errors import ConvergenceError, DomainError, PrecisionError, _real
 
 # double precision unit roundoff and the exp() overflow threshold
 EPS = 2.220446049250313e-16
@@ -39,9 +39,11 @@ def gamma_pdf(a, x):
         PrecisionError: if the density exceeds the double range (only
             possible for a < 1 at denormal-scale x).
     """
-    if not (a > 0.0) or not math.isfinite(a):
+    a = _real(a, "a")
+    x = _real(x, "x")
+    if not a > 0.0:
         raise DomainError(f"gamma_pdf requires a > 0, got {a!r}")
-    if not (x >= 0.0) or not math.isfinite(x):
+    if not x >= 0.0:
         raise DomainError(f"gamma_pdf requires x >= 0, got {x!r}")
     if x == 0.0:
         if a < 1.0:
@@ -168,9 +170,11 @@ def reg_lower_gamma(a, x):
     Raises:
         DomainError: for a <= 0 or x < 0.
     """
-    if not (a > 0.0) or not math.isfinite(a):
+    a = _real(a, "a")
+    x = _real(x, "x")
+    if not a > 0.0:
         raise DomainError(f"reg_lower_gamma requires a > 0, got {a!r}")
-    if not (x >= 0.0) or not math.isfinite(x):
+    if not x >= 0.0:
         raise DomainError(f"reg_lower_gamma requires x >= 0, got {x!r}")
     if x == 0.0:
         return 0.0

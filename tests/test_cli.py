@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gammasum import cli
 from gammasum.cli import JobSpec, run
 
 # Recorded stdout and exit code of every command x method, the three
@@ -372,3 +373,42 @@ def test_monte_carlo_routes_validate_like_integral(tmp_path):
     code, records = _run_batch_lines(tmp_path, [good])
     assert code == 0
     assert records[0]["input_echo"]["n_samples"] == 1000
+
+
+@pytest.mark.parametrize("record", [
+    {"command": "gamma-sum", "params": {"alphas": [1], "lambdas": [1], "x": True}},
+    {"command": "gamma-sum", "params": {"alphas": [True], "lambdas": [1], "x": 1}},
+    {"command": "gamma-sum", "params": {"alphas": [1, 1], "lambdas": [1, 2], "x": 1},
+     "quadrature": {"tol": True}},
+])
+def test_batch_rejects_json_booleans_as_numbers(tmp_path, record):
+    code, records = _run_batch_lines(tmp_path, [json.dumps(record)])
+    assert code == 2
+    assert records[0]["error_type"] == "validation"
+    assert "must be a number, got True" in records[0]["error"]
+
+
+# the golden argv cases that argparse accepts (it rejects those that
+# print nothing)
+_ARGV_CASES = {f"{i:02d}-{c['argv'][0]}": c["argv"] for i, c in enumerate(GOLDEN)
+               if "batch" not in c and c["stdout"]}
+
+
+@pytest.mark.parametrize("argv", _ARGV_CASES.values(), ids=_ARGV_CASES)
+def test_argv_and_batch_record_print_the_same(tmp_path, argv):
+    # the batch record built from the parsed flags prints what the argv
+    # run prints, so the parser's types and defaults match batch params
+    job = cli._job_from_args(cli._PARSER.parse_args(argv))
+    record = {"command": job.command, "params": job.params,
+              "quadrature": job.quadrature, "output_format": job.output_format}
+    path = tmp_path / "job.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    assert _run(["batch", str(path)])[1] == _run(argv)[1]
+
+
+def test_parser_is_built_once(monkeypatch):
+    def fail():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", fail)
+    assert _run(["gamma-sum", "--alphas", "1", "--lambdas", "1", "--x", "1"])[0] == 0

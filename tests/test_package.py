@@ -5,6 +5,9 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import gammasum
 
 PUBLIC = {
@@ -86,3 +89,36 @@ def test_runtime_imports_are_stdlib_and_numpy_only():
                 continue
             for root in roots:
                 assert root in allowed, f"{path.name}:{node.lineno} imports {root}"
+
+
+_P = gammasum.GammaSumParams((1.0, 2.0), (1.0, 3.0))
+_I2 = np.eye(2)
+_MV = gammasum.MvGammaParams(1.0, _I2)
+
+# every public entry point at one numeric argument, as a function of it
+_SCALAR_ARGS = {
+    "GammaSumParams": lambda v: gammasum.GammaSumParams((1.0, v), (1.0, 3.0)),
+    "cdf": lambda v: gammasum.cdf(_P, v),
+    "series_cdf": lambda v: gammasum.series_cdf(_P, v),
+    "quantile": lambda v: gammasum.quantile(_P, v),
+    "qform_cdf": lambda v: gammasum.qform_cdf(_I2, _I2, v),
+    "mc_cdf": lambda v: gammasum.mc_cdf(_P, v, 10),
+    "mc_cdf-n_samples": lambda v: gammasum.mc_cdf(_P, 1.0, v),
+    "mc_qform": lambda v: gammasum.mc_qform(_I2, _I2, v, 10),
+    "mc_mvgamma-alpha": lambda v: gammasum.mc_mvgamma(v, _I2, (1, 1), 10),
+    "mc_mvgamma-xs": lambda v: gammasum.mc_mvgamma(1, _I2, (v, 1), 10),
+    "reg_lower_gamma": lambda v: gammasum.reg_lower_gamma(v, 1),
+    "gamma_pdf": lambda v: gammasum.gamma_pdf(1, v),
+    "g_series": lambda v: gammasum.g_series(v, 1, 0.3),
+    "mv_cdf": lambda v: gammasum.mv_cdf(_MV, (v, v)),
+    "MvGammaParams": lambda v: gammasum.MvGammaParams(v, _I2),
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, True, float("nan")])
+@pytest.mark.parametrize("entry", sorted(_SCALAR_ARGS))
+def test_non_numeric_scalars_raise_domain_error(entry, value):
+    # one scalar check serves every entry point: no TypeError or plain
+    # ValueError escapes, and a boolean is not taken for 0 or 1
+    with pytest.raises(gammasum.DomainError, match="must be (a number|finite|an integer)"):
+        _SCALAR_ARGS[entry](value)
