@@ -22,7 +22,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     GammaSumError,
-    NormalizationError,
     NotPositiveDefiniteError,
     PrecisionError,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "McResult",
     "MvDerived",
     "MvGammaParams",
-    "NormalizationError",
     "NotPositiveDefiniteError",
     "PrecisionError",
     "QuadratureConfig",

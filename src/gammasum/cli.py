@@ -49,15 +49,13 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    GammaSumError,
     NotPositiveDefiniteError,
+    _integer,
     _real,
 )
-from .genfun import g_series
 from .mvgamma import MvGammaParams, existence_caveat, mv_cdf
 from .oracles import mc_cdf, mc_mvgamma, mc_qform, series_cdf
 from .qform import SymMatrix, qform_cdf
-from .special import reg_lower_gamma
 
 _FORMATS = ("json", "csv", "plain")
 _QUAD_KEYS = ("r", "tol", "n_start", "n_max")
@@ -122,19 +120,6 @@ def _fmt15(v):
     return float(f"{v:.15g}")
 
 
-def _parse_int(value, name):
-    """An integer, from a decimal string or an integral finite number
-    (JSON 1e6 arrives as a float)."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise DomainError(f"{name} must be an integer, got {value!r}")
-
-
 def _parse_floats(value, name):
     """Accept a list of numbers or a comma/space separated string."""
     if isinstance(value, str):
@@ -183,16 +168,12 @@ def _parse_matrix(value, name):
 
 
 def _quad_config(overrides):
+    """QuadratureConfig from quadrature overrides, which it validates;
+    r may be 'auto', the automatic radius."""
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    if "r" in kwargs:
-        r = kwargs["r"]
-        auto = isinstance(r, str) and r.strip().lower() == "auto"
-        kwargs["r"] = None if auto else _real(r, "r")
-    for key in ("n_start", "n_max"):
-        if key in kwargs:
-            kwargs[key] = _parse_int(kwargs[key], key)
-    if "tol" in kwargs:
-        kwargs["tol"] = _real(kwargs["tol"], "tol")
+    r = kwargs.get("r")
+    if isinstance(r, str) and r.strip().lower() == "auto":
+        del kwargs["r"]
     return QuadratureConfig(**kwargs)
 
 
@@ -236,8 +217,7 @@ def _parse_mvgamma(p):
     alpha = _real(p["alpha"], "alpha")
     sigma = _parse_matrix(p["sigma"], "sigma")
     xs = _parse_floats(p["xs"], "xs")
-    max_dim = _parse_int(p.get("max_dim", 3), "max_dim")
-    params = MvGammaParams(alpha, SymMatrix(sigma), max_dim)
+    params = MvGammaParams(alpha, SymMatrix(sigma), p.get("max_dim", 3))
     echo = {
         "alpha": _fmt15(alpha),
         "sigma": _matrix_echo(sigma),
@@ -328,7 +308,7 @@ _TABLE = {
         key="quantile",
     ),
 }
-_COMMANDS = (*_TABLE, "selfcheck")
+_COMMANDS = tuple(_TABLE)
 
 
 def _run_command(job):
@@ -353,8 +333,8 @@ def _run_command(job):
         raise DomainError(f"unknown {job.command} method {method!r}")
     mc = None
     if method == "mc":
-        mc = (_parse_int(p.get("n_samples", 1000000), "n_samples"),
-              _parse_int(p.get("seed", 0), "seed"))
+        mc = (_integer(p.get("n_samples", 1000000), "n_samples", DomainError),
+              _integer(p.get("seed", 0), "seed", DomainError))
         echo["n_samples"], echo["seed"] = mc
     cfg = _quad_config(job.quadrature)
     converged = True
@@ -379,84 +359,9 @@ def _run_command(job):
     return record, 0 if converged else 3
 
 
-def _selfcheck_cases():
-    """Fast closed-form and cross-route checks run by `selfcheck`."""
-    ln2 = math.log(2.0)
-
-    def chk_exponential():
-        est = cdf(GammaSumParams((1.0,), (1.0,)), ln2)
-        return abs(est.value - 0.5), 1e-10
-
-    def chk_equal_scale():
-        est = cdf(GammaSumParams((1.2, 0.8), (2.0, 2.0)), 3.0)
-        return abs(est.value - reg_lower_gamma(2.0, 1.5)), 1e-12
-
-    def chk_gfun_routes():
-        # the kernel's series against the direct sum of P(a+n, x) y^n,
-        # whose coefficients come from reg_lower_gamma's own branches
-        y = 0.4 * complex(math.cos(0.7), math.sin(0.7))
-        terms = [reg_lower_gamma(1.7 + n, 2.3) * y**n for n in range(60)]
-        direct = complex(math.fsum(t.real for t in terms),
-                         math.fsum(t.imag for t in terms))
-        return abs(g_series(1.7, 2.3, y).value - direct), 1e-9
-
-    def chk_hypoexponential():
-        est = cdf(GammaSumParams((1.0, 1.0), (1.0, 2.0)), 2.0)
-        want = 1.0 + math.exp(-2.0) - 2.0 * math.exp(-1.0)
-        return abs(est.value - want), 1e-9
-
-    def chk_r_invariance():
-        pset = GammaSumParams((1.0, 1.0), (1.0, 3.0))
-        lo = cdf(pset, 2.0, QuadratureConfig(r=0.6)).value
-        hi = cdf(pset, 2.0, QuadratureConfig(r=0.9)).value
-        return abs(lo - hi), 1e-9
-
-    def chk_chi_square():
-        est = qform_cdf(np.eye(2), np.eye(2), 2.0 * ln2)
-        return abs(est.value - 0.5), 1e-9
-
-    def chk_series_route():
-        pset = GammaSumParams((0.7, 1.3, 2.0), (0.5, 1.0, 4.0))
-        a = cdf(pset, 6.0).value
-        b = series_cdf(pset, 6.0).value
-        return abs(a - b), 1e-8
-
-    return [
-        ("exponential-median", chk_exponential),
-        ("equal-scale-reduction", chk_equal_scale),
-        ("gfun-route-agreement", chk_gfun_routes),
-        ("hypoexponential-closed-form", chk_hypoexponential),
-        ("r-invariance", chk_r_invariance),
-        ("chi-square-median", chk_chi_square),
-        ("series-route-agreement", chk_series_route),
-    ]
-
-
-def _run_selfcheck(job):
-    extra = set(job.params)
-    if extra:
-        raise DomainError(f"selfcheck takes no params, got {sorted(extra)}")
-    checks = []
-    ok = True
-    for name, fn in _selfcheck_cases():
-        try:
-            diff, tol = fn()
-            passed = diff <= tol
-            detail = f"|diff| = {diff:.3e} (tol {tol:.1e})"
-        except GammaSumError as exc:
-            passed = False
-            detail = f"raised {type(exc).__name__}: {exc}"
-        ok = ok and passed
-        checks.append({"name": name, "passed": passed, "detail": detail})
-    rec = {"command": "selfcheck", "passed": ok, "checks": checks}
-    return rec, 0 if ok else 1
-
-
 def _execute_job(job):
     """Run one JobSpec; map exceptions to (error record, exit code)."""
     try:
-        if job.command == "selfcheck":
-            return _run_selfcheck(job)
         return _run_command(job)
     except (DomainError, ConfigError, NotPositiveDefiniteError) as exc:
         return _error_record(job.command, job.params, "validation", exc), 2
@@ -563,7 +468,7 @@ _FLAGS = {
 def _build_parser():
     """The argparse tree: one subcommand per _TABLE entry, flagged with
     its required params, its optional params, the quadrature keys and
-    --format, in that order; then selfcheck and batch."""
+    --format, in that order; then batch."""
     parser = argparse.ArgumentParser(
         prog="gammasum",
         description=(
@@ -579,8 +484,6 @@ def _build_parser():
             if key == "method":
                 kwargs["choices"] = tuple(cmd.routes)
             sub.add_argument("--" + key.replace("_", "-"), **kwargs)
-    sc = subs.add_parser("selfcheck", help="run the built-in check suite")
-    sc.add_argument("--format", **_FLAGS["format"])
     bt = subs.add_parser("batch", help="run line-delimited JobSpec records")
     bt.add_argument("input", help="path to a JSONL file, or - for stdin")
     return parser

@@ -122,9 +122,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         if self.r is not None:
-            r = float(self.r)
+            r = _real(self.r, "r", ConfigError)
             if not (0.0 < r < 1.0):
-                raise ConfigError(f"r must lie in (0, 1) or be None, got {self.r!r}")
+                raise ConfigError(f"r must lie in (0, 1) or be None, got {r!r}")
             object.__setattr__(self, "r", r)
         n_start = _integer(self.n_start, "n_start", ConfigError)
         n_max = _integer(self.n_max, "n_max", ConfigError)
@@ -134,8 +134,8 @@ class QuadratureConfig:
             raise ConfigError("n_max must allow at least one doubling of n_start")
         object.__setattr__(self, "n_start", n_start)
         object.__setattr__(self, "n_max", n_max)
-        tol = float(self.tol)
-        if not (tol > 0.0) or not math.isfinite(tol):
+        tol = _real(self.tol, "tol", ConfigError)
+        if not tol > 0.0:
             raise ConfigError(f"tol must be positive and finite, got {self.tol!r}")
         object.__setattr__(self, "tol", tol)
 

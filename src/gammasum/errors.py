@@ -52,21 +52,17 @@ class BranchTrackingError(GammaSumError):
     """A complex logarithm branch could not be certified as continuous."""
 
 
-class NormalizationError(GammaSumError):
-    """The built-in normalization self-test failed."""
-
-
-def _real(value, name):
+def _real(value, name, error=DomainError):
     """A finite float, from a real number or a numeric string; anything
-    else, booleans, NaN and infinities included, raises DomainError."""
+    else, booleans, NaN and infinities included, raises error."""
     try:
         v = float(value)
     except (TypeError, ValueError):
         v = None
     if v is None or isinstance(value, bool):
-        raise DomainError(f"{name} must be a number, got {value!r}")
+        raise error(f"{name} must be a number, got {value!r}")
     if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {value!r}")
     return v
 
 

@@ -150,9 +150,15 @@ def g_series(a, x, y, tol=1e-12, max_terms=10000):
         raise DomainError(f"g_series requires a > 0, got {a!r}")
     if not x >= 0.0:
         raise DomainError(f"g_series requires x >= 0, got {x!r}")
-    y = complex(y)
-    if not (math.isfinite(y.real) and math.isfinite(y.imag)):
-        raise DomainError("g_series requires finite y")
+    try:
+        yc = None if isinstance(y, bool) else complex(y)
+    except (TypeError, ValueError):
+        yc = None
+    if yc is None:
+        raise DomainError(f"y must be a number, got {y!r}")
+    if not (math.isfinite(yc.real) and math.isfinite(yc.imag)):
+        raise DomainError(f"y must be finite, got {y!r}")
+    y = yc
     if abs(y) > 1.0 - 1e-6:
         raise DomainError("g_series requires |y| <= 1 - 1e-6")
     tol = _real(tol, "tol")

@@ -9,9 +9,8 @@ C = I_p - (v Sigma)^-1 (spectral norm below 1),
                det(I_p - C Y^-1)^-alpha prod_k G(alpha; v x_k, y_k) dphi,
 
 where y_k = r e^(i phi_k), Y = diag(y), and r is any common radius in
-(|C|, 1). The normalization (2 pi)^-p is pinned empirically by a
-once-per-process self-test on the C = 0 case, where the integral must
-factor into a product of univariate gamma CDFs exactly.
+(|C|, 1). At C = 0 the integral factors into a product of univariate
+gamma CDFs, which is how the tests pin the normalization (2 pi)^-p.
 
 The determinant power needs a continuous branch of log det. Because
 |C Y^-1| <= |C|/r < 1, the matrix I - C Y^-1 has a positive definite
@@ -42,7 +41,6 @@ from .errors import (
     BranchTrackingError,
     ConfigError,
     DomainError,
-    NormalizationError,
     _integer,
     _real,
 )
@@ -234,35 +232,6 @@ def _grid_value(d, coeffs, r, n):
     return pref * math.fsum(block_sums) / total_pts
 
 
-_NORMALIZATION_STATE = {"checked": False}
-
-
-def _ensure_normalization():
-    """Once per process, pin the grid normalization on a factorizable case.
-
-    With C = 0 the integral must reproduce P(a, x_1) P(a, x_2) through
-    the full quadrature path (only the leading coefficient of each axis
-    series survives). A mismatch beyond 1e-8 means the constant in front
-    of the grid sum is wrong, and every subsequent result would be
-    silently scaled; that is promoted to NormalizationError."""
-    if _NORMALIZATION_STATE["checked"]:
-        if _NORMALIZATION_STATE.get("error") is not None:
-            raise NormalizationError(_NORMALIZATION_STATE["error"])
-        return
-    a = 1.3
-    xs = (0.8, 1.7)
-    d = MvDerived(a, 1.0, SymMatrix(np.zeros((2, 2))), 0.0, 0.0)
-    got = _grid_value(d, _axis_coefficients(d, xs, 0.5, 1e-12), 0.5, 32)
-    want = reg_lower_gamma(a, xs[0]) * reg_lower_gamma(a, xs[1])
-    _NORMALIZATION_STATE["checked"] = True
-    if abs(got - want) > 1e-8:
-        _NORMALIZATION_STATE["error"] = (
-            f"grid normalization self-test failed: {got!r} vs {want!r}"
-        )
-        raise NormalizationError(_NORMALIZATION_STATE["error"])
-    _NORMALIZATION_STATE["error"] = None
-
-
 def mv_cdf(p, xs, cfg=None):
     """Joint CDF P{X_1 <= xs_1, ..., X_p <= xs_p}.
 
@@ -280,8 +249,7 @@ def mv_cdf(p, xs, cfg=None):
         ConfigError: if 2 cfg.n_start exceeds min(cfg.n_max, 512).
         ConvergenceError: when levels do not stabilize within the node
             cap (carries the last estimate).
-        NormalizationError: if the once-per-process C = 0 self-test of
-            the grid constant fails.
+        DomainError: if xs is not a length-p vector of finite numbers.
     """
     cfg = QuadratureConfig() if cfg is None else cfg
     n_cap = min(cfg.n_max, _AXIS_NODE_CAP)
@@ -290,7 +258,7 @@ def mv_cdf(p, xs, cfg=None):
             f"n_start = {cfg.n_start} allows no doubling within {n_cap} "
             "nodes per axis"
         )
-    xs = tuple(_real(x, "xs") for x in xs)
+    xs = tuple(_real(x, "xs") for x in np.atleast_1d(np.asarray(xs, dtype=object)))
     if len(xs) != p.dim:
         raise DomainError(f"xs must have length {p.dim}, got {len(xs)}")
     d = mv_derive(p)
@@ -302,7 +270,6 @@ def mv_cdf(p, xs, cfg=None):
         for x in xs:
             val *= reg_lower_gamma(p.alpha, d.v * x)
         return CdfEstimate(val, val, 0.0, 0, r)
-    _ensure_normalization()
     coeffs = _axis_coefficients(d, xs, r, cfg.tol)
     levels = (
         (n, _grid_value(d, coeffs, r, n)) for n in _doublings(cfg.n_start, n_cap)

@@ -78,9 +78,13 @@ def series_cdf(p, x, tol=1e-10):
     tol.
 
     Raises:
+        DomainError: if x or tol is not a finite number, or tol <= 0.
         ConvergenceError: if N would exceed the package's term cap.
     """
     x = _real(x, "x")
+    tol = _real(tol, "tol")
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
     if x < 0.0:
         return SeriesResult(0.0, 0, 0.0)
     d = derive_params(p)
@@ -99,13 +103,17 @@ def _mc_fraction(n_samples, seed, chunk, draw):
     draw(rng, m) simulates m samples and returns one boolean per sample.
     It runs on consecutive chunks of at most chunk samples from one PCG64
     generator seeded with seed, so the estimate is deterministic for fixed
-    (seed, n_samples). n_samples must be a positive integer (3.0 is
-    accepted); anything else raises DomainError before the first draw.
+    (seed, n_samples). n_samples must be a positive integer and seed a
+    nonnegative one (3.0 is accepted); anything else raises DomainError
+    before the first draw.
     std_error is the binomial sqrt(f (1-f) / n), f (1-f) floored at 1/n.
     """
     n = _integer(n_samples, "n_samples", DomainError)
     if n < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples!r}")
+    seed = _integer(seed, "seed", DomainError)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     hits = 0
     for done in range(0, n, chunk):

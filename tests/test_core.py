@@ -101,7 +101,7 @@ def test_quadrature_config_validation():
     with pytest.raises(ConfigError):
         QuadratureConfig(tol=0.0)
     for bad in ({"n_max": math.inf}, {"n_start": math.nan}, {"n_start": 16.7},
-                {"n_start": "16x"}):
+                {"n_start": "16x"}, {"r": "x"}, {"tol": "x"}):
         with pytest.raises(ConfigError):
             QuadratureConfig(**bad)
     cfg = QuadratureConfig()

@@ -17,7 +17,6 @@ from gammasum.errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
-    NormalizationError,
 )
 from gammasum.mvgamma import (
     MvDerived,
@@ -26,7 +25,6 @@ from gammasum.mvgamma import (
     _grid_integrand,
     _grid_value,
     _logdet,
-    _NORMALIZATION_STATE,
     existence_caveat,
     mv_cdf,
     mv_derive,
@@ -315,24 +313,7 @@ def test_mv_cdf_xs_validation():
         mv_cdf(p, (1.0, math.inf))
 
 
-def test_normalization_self_test_state_and_reraise():
-    # a successful run must have marked the state
-    mv_cdf(MvGammaParams(1.0, SIGMA_2), (1.0, 1.0))
-    assert _NORMALIZATION_STATE["checked"] is True
-    assert _NORMALIZATION_STATE["error"] is None
-    # a recorded failure must re-raise on every call afterwards
-    saved = dict(_NORMALIZATION_STATE)
-    try:
-        _NORMALIZATION_STATE["error"] = "induced for test"
-        with pytest.raises(NormalizationError):
-            mv_cdf(MvGammaParams(1.0, SIGMA_2), (1.0, 1.0))
-    finally:
-        _NORMALIZATION_STATE.clear()
-        _NORMALIZATION_STATE.update(saved)
-
-
 def test_mv_cdf_computes_axis_coefficients_once(monkeypatch):
-    mv_cdf(MvGammaParams(1.0, SIGMA_2), (1.0, 1.0))  # normalization check done
     calls = []
     kernel = mvgamma._geometric_coefficients
 

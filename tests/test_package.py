@@ -23,7 +23,6 @@ PUBLIC = {
     "McResult",
     "MvDerived",
     "MvGammaParams",
-    "NormalizationError",
     "NotPositiveDefiniteError",
     "PrecisionError",
     "QuadratureConfig",
@@ -100,6 +99,7 @@ _SCALAR_ARGS = {
     "GammaSumParams": lambda v: gammasum.GammaSumParams((1.0, v), (1.0, 3.0)),
     "cdf": lambda v: gammasum.cdf(_P, v),
     "series_cdf": lambda v: gammasum.series_cdf(_P, v),
+    "series_cdf-tol": lambda v: gammasum.series_cdf(_P, 1.0, v),
     "quantile": lambda v: gammasum.quantile(_P, v),
     "qform_cdf": lambda v: gammasum.qform_cdf(_I2, _I2, v),
     "mc_cdf": lambda v: gammasum.mc_cdf(_P, v, 10),
@@ -110,7 +110,9 @@ _SCALAR_ARGS = {
     "reg_lower_gamma": lambda v: gammasum.reg_lower_gamma(v, 1),
     "gamma_pdf": lambda v: gammasum.gamma_pdf(1, v),
     "g_series": lambda v: gammasum.g_series(v, 1, 0.3),
+    "g_series-y": lambda v: gammasum.g_series(1, 1, v),
     "mv_cdf": lambda v: gammasum.mv_cdf(_MV, (v, v)),
+    "mv_cdf-xs": lambda v: gammasum.mv_cdf(_MV, v),
     "MvGammaParams": lambda v: gammasum.MvGammaParams(v, _I2),
 }
 
@@ -122,3 +124,25 @@ def test_non_numeric_scalars_raise_domain_error(entry, value):
     # ValueError escapes, and a boolean is not taken for 0 or 1
     with pytest.raises(gammasum.DomainError, match="must be (a number|finite|an integer)"):
         _SCALAR_ARGS[entry](value)
+
+
+def test_series_cdf_rejects_nonpositive_tolerance():
+    # unchecked, tol <= 0 builds the whole term budget before failing
+    for tol in (0, -1):
+        with pytest.raises(gammasum.DomainError, match="tol must be positive"):
+            gammasum.series_cdf(_P, 1.0, tol)
+
+
+def test_every_exported_error_is_raised_somewhere():
+    # an exception class no code raises is dead surface; the base class
+    # exists to be caught, not raised
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    errors = {name for name in gammasum.__all__
+              if isinstance(getattr(gammasum, name), type)
+              and issubclass(getattr(gammasum, name), BaseException)}
+    assert errors - {"GammaSumError"} - raised == set()

@@ -125,6 +125,18 @@ def test_congruence_invariance():
         assert abs(base - rotated) <= 1e-9
 
 
+def test_eigenvalue_product_is_determinant_product():
+    # prod(mu) = det(Sigma) det(C), the identity qform_cdf's scales obey
+    rng = np.random.default_rng(89)
+    for _ in range(40):
+        dim = int(rng.integers(1, 7))
+        sigma = random_spd(rng, dim, cond_max=50.0)
+        cmat = random_spd(rng, dim, cond_max=50.0)
+        mu = qform_eigenvalues(sigma, cmat)
+        want = np.linalg.det(sigma) * np.linalg.det(cmat)
+        assert abs(np.prod(mu) - want) <= 1e-10 * want, dim
+
+
 def test_scaling_laws():
     rng = np.random.default_rng(101)
     sigma = random_spd(rng, 3)
