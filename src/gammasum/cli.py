@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GammaSumParams, QuadratureConfig, cdf, quantile
+from .core import GammaSumParams, QuadratureConfig, _quantile, cdf
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -247,9 +247,8 @@ def _series_route(model, cfg, mc):
 
 def _quantile_route(model, cfg, mc):
     params, prob = model
-    xq = quantile(params, prob, cfg)
-    check = cdf(params, xq, cfg)
-    return xq, abs(check.value - prob), check.r_used, check.nodes_used
+    xq, est = _quantile(params, prob, cfg)
+    return xq, abs(est.value - prob), est.r_used, est.nodes_used
 
 
 @dataclass(frozen=True)

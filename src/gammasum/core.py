@@ -28,6 +28,18 @@ phi, so the midpoint rule converges geometrically; node doubling
 supplies a two-level error estimate (_refine, shared with mvgamma). Node
 values within a level are summed with math.fsum so results are
 deterministic and exactly rounded for a given node count.
+
+The density rides on the same nodes. Differentiating term by term gives
+F'(x) = K v sum_n b_n t(alpha+n, vx) with t the gamma density, and
+t(alpha+n, y) = P(alpha+n-1, y) - P(alpha+n, y) for n >= 1. With
+B(w) = prod_j (1 - c_j w)^-alpha_j = sum_n b_n w^n, pairing b_n with
+P(alpha+n-1, vx) is the constant term of z B(1/z) G(z), so with b_0 = 1
+
+    F'(x) = K v [ (1/pi) Int_0^pi Re[ prod_j (...)^-alpha_j G(z) (z - 1) ] dphi
+                  + P(alpha, vx) + t(alpha, vx) ],   z = r e^(i phi).
+
+_estimate, the evaluator behind cdf and quantile, takes this density
+from the level the stop accepts; quantile's Newton steps use it.
 """
 
 from __future__ import annotations
@@ -35,12 +47,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, DomainError, _integer, _real
+from .errors import (
+    ConfigError, ConvergenceError, DomainError, PrecisionError, _integer, _real,
+)
 from .genfun import _gamma_tail_coefficients, _horner
-from .special import reg_lower_gamma
+from .special import gamma_pdf, reg_lower_gamma
 
 _log = logging.getLogger("gammasum.core")
 
@@ -225,31 +240,33 @@ def _paired_coefficients(d, vx, tol):
 
 
 def _integrand_values(phis, r, alphas, cs, coeffs):
-    """The integrand Re[ prod_j (1 - c_j r^-1 e^-(i phi))^-alpha_j
-    * G(alpha_total; vx, r e^(i phi)) ] at an array of angles phis, with
+    """The complex integrand prod_j (1 - c_j r^-1 e^-(i phi))^-alpha_j
+    * G(alpha_total; vx, r e^(i phi)) at an array of angles phis, with
     G summed by Horner's rule from its coefficients P(alpha_total+n, vx).
 
-    The real part is taken of the whole product: the diagonal pairing of
-    the two series demands it, and taking it factor-by-factor would break
-    the r-invariance of the integral.
+    The CDF integrates its real part. The real part is taken of the whole
+    product: the diagonal pairing of the two series demands it, and
+    taking it factor-by-factor would break the r-invariance of the
+    integral.
     """
     w = np.exp(-1j * phis) / r
     logprod = -(alphas[:, None] * np.log(1.0 - cs[:, None] * w[None, :])).sum(axis=0)
     g = _horner(coeffs, r * np.exp(1j * phis))
-    return (np.exp(logprod) * g).real
+    return np.exp(logprod) * g
 
 
-def _level_value(n, r, pref, alphas, cs, coeffs):
-    """One midpoint-rule level: pref * (1/n) sum_m f(phi_m) with
-    phi_m = (m - 1/2) pi / n, summed by math.fsum in index order."""
-    phis = (np.arange(n) + 0.5) * (math.pi / n)
-    vals = _integrand_values(phis, r, alphas, cs, coeffs)
-    return pref * math.fsum(vals.tolist()) / n
+def _refinement_levels(d, x, r, cfg, density=None):
+    """Yield (n, level value) for n = n_start, 2 n_start, ... up to n_max.
 
-
-def _refinement_levels(d, x, r, cfg):
-    """Yield (n, level value) for n = n_start, 2 n_start, ... up to n_max."""
-    coeffs, _ = _paired_coefficients(d, d.v * x, 0.1 * cfg.tol)
+    A level is the midpoint rule pref * (1/n) sum_m Re f(phi_m) with
+    phi_m = (m - 1/2) pi / n, summed by math.fsum in index order. When a
+    one-slot list density is passed, each level puts in it, before it is
+    yielded, a zero-argument callable that computes the density at x on
+    the level's nodes (the pairing identity of the module docstring);
+    only a caller that calls it pays for it.
+    """
+    vx = d.v * x
+    coeffs, _ = _paired_coefficients(d, vx, 0.1 * cfg.tol)
     pref = math.exp(d.log_prefactor)
     alphas = np.asarray(d.alphas)
     cs = np.asarray(d.c)
@@ -258,7 +275,29 @@ def _refinement_levels(d, x, r, cfg):
         len(d.alphas), d.alpha_total, d.c_max_abs, r, len(coeffs),
     )
     for n in _doublings(cfg.n_start, cfg.n_max):
-        yield n, _level_value(n, r, pref, alphas, cs, coeffs)
+        phis = (np.arange(n) + 0.5) * (math.pi / n)
+        f = _integrand_values(phis, r, alphas, cs, coeffs)
+        if density is not None:
+            density[0] = partial(_level_density, d, vx, r, pref, coeffs, phis, f)
+        yield n, pref * math.fsum(f.real.tolist()) / n
+
+
+def _level_density(d, vx, r, pref, coeffs, phis, f):
+    """v pref [mean_m Re f_m (z_m - 1) + P(alpha, vx) + t(alpha, vx)] on
+    one level's nodes z_m = r e^(i phi_m), where f holds the integrand
+    values; P(alpha, vx) is coeffs[0], the n = 0 term paired with b_0 = 1."""
+    z = r * np.exp(1j * phis)
+    pairing = float((f * (z - 1.0)).real.mean())
+    return d.v * pref * (pairing + float(coeffs[0]) + _gamma_density(d.alpha_total, vx))
+
+
+def _gamma_density(a, y):
+    """gamma_pdf(a, y), or infinity where the density diverges at y = 0
+    or overflows next to it (shapes below 1)."""
+    try:
+        return gamma_pdf(a, y)
+    except (DomainError, PrecisionError):
+        return math.inf
 
 
 def _doublings(n_start, n_cap):
@@ -287,6 +326,37 @@ def _refine(levels, r, tol, failure):
     raise ConvergenceError(failure, estimate=est)
 
 
+def _estimate(p, x, cfg):
+    """The evaluator behind cdf and quantile: (CdfEstimate, density) at x.
+
+    density is a zero-argument callable, so cdf, which never calls it,
+    pays nothing for it. It computes the density on the level that
+    _refine accepts (see _refinement_levels); on the equal-scale path it
+    is gamma_pdf(alpha_total, x / lambda) / lambda, and 0 for x <= 0. It
+    steers quantile's Newton steps and is never returned by the public
+    API, so it carries no certificate of its own.
+    """
+    x = _real(x, "x")
+    d = derive_params(p)
+    r = _radius(d.c_max_abs, cfg)
+    if x <= 0.0:
+        return CdfEstimate(0.0, 0.0, 0.0, 0, r), lambda: 0.0
+    if d.c_max_abs == 0.0:
+        lam = p.lambdas[0]
+        val = reg_lower_gamma(d.alpha_total, x / lam)
+        return CdfEstimate(val, val, 0.0, 0, r), (
+            lambda: _gamma_density(d.alpha_total, x / lam) / lam
+        )
+    density = [None]
+    est = _refine(
+        _refinement_levels(d, x, r, cfg, density),
+        r,
+        cfg.tol,
+        f"quadrature did not reach tol={cfg.tol:.3g} within n_max={cfg.n_max}",
+    )
+    return est, density[0]
+
+
 def cdf(p, x, cfg=None):
     """CDF of sum_j lambda_j Gamma(alpha_j, 1) at x.
 
@@ -304,58 +374,65 @@ def cdf(p, x, cfg=None):
             difference drops below cfg.tol; the error carries the last
             estimate in its ``estimate`` attribute.
     """
-    cfg = QuadratureConfig() if cfg is None else cfg
-    x = _real(x, "x")
-    d = derive_params(p)
-    r = _radius(d.c_max_abs, cfg)
-    if x <= 0.0:
-        return CdfEstimate(0.0, 0.0, 0.0, 0, r)
-    if d.c_max_abs == 0.0:
-        val = reg_lower_gamma(d.alpha_total, x / p.lambdas[0])
-        return CdfEstimate(val, val, 0.0, 0, r)
-    return _refine(
-        _refinement_levels(d, x, r, cfg),
-        r,
-        cfg.tol,
-        f"quadrature did not reach tol={cfg.tol:.3g} within n_max={cfg.n_max}",
-    )
+    return _estimate(p, x, QuadratureConfig() if cfg is None else cfg)[0]
 
 
-def quantile(p, prob, cfg=None):
-    """Inverse CDF: the x with |cdf(x) - prob| <= 1e-8.
-
-    Brackets [0, upper] by doubling upper from the distribution mean
-    until the CDF exceeds prob, then bisects. Probabilities so extreme
-    that the quadrature tolerance cannot separate them from 0 or 1 raise
-    ConvergenceError rather than returning a sham root.
-    """
+def _quantile(p, prob, cfg):
+    """quantile's root and the CdfEstimate at it, as (x, estimate)."""
     prob = _real(prob, "prob")
     if not (0.0 < prob < 1.0):
         raise DomainError(f"quantile requires 0 < prob < 1, got {prob!r}")
     cfg = QuadratureConfig() if cfg is None else cfg
-    upper = math.fsum(a * l for a, l in zip(p.alphas, p.lambdas))
+    x = math.fsum(a * l for a, l in zip(p.alphas, p.lambdas))
+    lo, hi = 0.0, math.inf
     for _ in range(200):
-        if cdf(p, upper, cfg).value > prob:
-            break
-        upper *= 2.0
-    else:
-        raise ConvergenceError("quantile bracket did not capture prob")
-    lo, hi = 0.0, upper
-    best = upper
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = cdf(p, mid, cfg).value
+        est, density = _estimate(p, x, cfg)
+        f = est.value
         if abs(f - prob) <= 1e-8:
-            return mid
+            return x, est
         if f < prob:
-            lo = mid
+            lo = x
         else:
-            hi = mid
-        best = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
+            hi = x
+        if hi - lo <= 1e-15 * max(1.0, lo):
             break
+        slope = density()
+        if not (0.0 < slope < math.inf and f < 1.0):
+            step = math.nan
+        elif prob > 0.5:
+            # Newton on log(1 - F), nearly linear in an exponential tail
+            step = x + (1.0 - f) * math.log((1.0 - f) / (1.0 - prob)) / slope
+        else:
+            step = x + (prob - f) / slope
+        cap = 2.0 * x if hi == math.inf else hi
+        if lo < step < cap:
+            x = step
+        elif hi == math.inf:
+            x = cap
+        else:
+            x = 0.5 * (lo + hi)
     raise ConvergenceError(
-        "bisection could not pin the quantile to 1e-8; the requested "
+        "Newton iteration could not pin the quantile to 1e-8; the requested "
         "probability is beyond the quadrature resolution",
-        estimate=best,
+        estimate=x,
     )
+
+
+def quantile(p, prob, cfg=None):
+    """Inverse CDF: the x with |cdf(x) - prob| <= 1e-8, as a float.
+
+    Safeguarded Newton iteration from the distribution mean. Each step
+    costs one evaluation of the quadrature, which yields the CDF value
+    and the density (see the module docstring). For prob > 1/2 Newton
+    runs on log(1 - F), which is nearly linear in an exponential tail.
+    A bracket [lo, hi], with hi infinite until some CDF value exceeds
+    prob, holds every iterate: a step that leaves it, that more than
+    doubles x while hi is infinite, or that comes from a density that is
+    not finite and positive becomes a doubling of x (no hi yet) or a
+    bisection of the bracket. The stop tests the certified CDF value;
+    the density only steers. Probabilities so extreme that the
+    quadrature cannot separate them from 0 or 1 collapse the bracket and
+    raise ConvergenceError carrying the last iterate, rather than
+    returning a sham root.
+    """
+    return _quantile(p, prob, cfg)[0]

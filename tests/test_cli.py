@@ -2,13 +2,11 @@
 
 import io
 import json
-import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from gammasum import cli

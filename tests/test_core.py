@@ -4,12 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gammasum import core
 from gammasum.core import (
     CdfEstimate,
     GammaSumParams,
     QuadratureConfig,
+    _estimate,
     _integrand_values,
+    _quantile,
     _radius,
     _refinement_levels,
     cdf,
@@ -18,7 +23,7 @@ from gammasum.core import (
 )
 from gammasum.errors import ConfigError, ConvergenceError, DomainError
 from gammasum.genfun import _geometric_coefficients
-from gammasum.special import reg_lower_gamma
+from gammasum.special import gamma_pdf, reg_lower_gamma
 
 from helpers import hypoexp_cdf, random_params
 
@@ -116,7 +121,7 @@ def _integrand_at(phis, x, d, r):
     return _integrand_values(
         np.asarray(phis, dtype=float), r, np.asarray(d.alphas), np.asarray(d.c),
         coeffs,
-    )
+    ).real
 
 
 def test_integrand_reference_value():
@@ -262,3 +267,83 @@ def test_quantile_round_trip():
         quantile(p, 0.0)
     with pytest.raises(DomainError):
         quantile(p, 1.0)
+    # below the double range: the bracket collapses onto 0
+    with pytest.raises(ConvergenceError) as info:
+        quantile(GammaSumParams((0.1,), (2.0,)), 1e-300)
+    assert type(info.value.estimate) is float
+
+
+def test_evaluator_density_hypoexponential():
+    p = GammaSumParams((1.0, 1.0), (1.0, 3.0))
+    for x in (0.05, 0.7, 2.0, 6.0, 25.0):
+        density = _estimate(p, x, QuadratureConfig())[1]()
+        assert abs(density - (math.exp(-x / 3.0) - math.exp(-x)) / 2.0) <= 1e-10
+
+
+def test_evaluator_density_equal_scale():
+    p = GammaSumParams((0.7, 1.8), (2.5, 2.5))
+    for x in (0.01, 1.0, 4.0, 30.0):
+        est, density = _estimate(p, x, QuadratureConfig())
+        assert est.nodes_used == 0
+        assert density() == gamma_pdf(2.5, x / 2.5) / 2.5
+    assert _estimate(p, -1.0, QuadratureConfig())[1]() == 0.0
+    # below shape 1 the density diverges at 0 and overflows next to it,
+    # where the CDF itself is still computed
+    for lam in (1.0, 4.0):
+        p = GammaSumParams((0.01,), (lam,))
+        est, density = _estimate(p, 5e-324, QuadratureConfig())
+        assert est.value == reg_lower_gamma(0.01, 5e-324 / lam)
+        assert density() == math.inf
+
+
+def test_evaluator_density_matches_cdf_central_difference():
+    p = GammaSumParams((0.7, 1.3, 2.0, 0.9, 1.6), tuple(np.geomspace(1.0, 10.0, 5)))
+    cfg = QuadratureConfig(tol=1e-13)
+    mean = math.fsum(a * l for a, l in zip(p.alphas, p.lambdas))
+    h = 1e-3
+    for x in (0.3 * mean, mean, 2.5 * mean):
+        est, density = _estimate(p, x, cfg)
+        assert est == cdf(p, x, cfg)
+        diff = (cdf(p, x + h, cfg).value - cdf(p, x - h, cfg).value) / (2.0 * h)
+        assert abs(diff - density()) <= 1e-7 * density()
+
+
+def test_quantile_newton_evaluation_count(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return evaluate(*args)
+
+    evaluate = core._estimate
+    monkeypatch.setattr(core, "_estimate", counting)
+    probs = np.linspace(0.02, 0.98, 9)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        p = GammaSumParams(rng.uniform(0.5, 3.0, 10), np.geomspace(1.0, 20.0, 10))
+        for prob in probs:
+            x, est = _quantile(p, prob, None)
+            assert type(x) is float and calls[-1] == x
+            assert est == evaluate(p, x, QuadratureConfig())[0]
+            assert abs(est.value - prob) <= 1e-8
+    assert len(calls) / (2 * len(probs)) <= 8.0
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_quantile_inverts_cdf_and_is_monotone(data):
+    k = data.draw(st.integers(1, 6))
+    alphas = data.draw(st.lists(st.floats(0.3, 4.0), min_size=k, max_size=k))
+    ratio = data.draw(st.floats(1.0, 10.0))
+    lambdas = [1.0, ratio] + data.draw(
+        st.lists(st.floats(1.0, ratio), min_size=k, max_size=k)
+    )
+    p = GammaSumParams(alphas, lambdas[:k])
+    probs = sorted(data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4)))
+    xs = [quantile(p, prob) for prob in probs]
+    for prob, x in zip(probs, xs):
+        assert abs(cdf(p, x).value - prob) <= 1e-8
+    # each root is pinned to 1e-8 in probability, so order is only
+    # guaranteed between probabilities more than 2e-8 apart
+    for (p1, x1), (p2, x2) in zip(zip(probs, xs), zip(probs[1:], xs[1:])):
+        assert p2 - p1 <= 2e-8 or x1 <= x2
