@@ -22,9 +22,10 @@ count and the standard error as its error estimate).
 
 Exit codes: 0 success, 2 input validation error, 3 numerical
 non-convergence (the partial result is still printed with
-"converged": false), 1 internal error. A batch run prints one record
-per input line, never aborts on a bad record, and exits with the most
-severe per-record code under the ordering 2 > 1 > 3 > 0.
+"converged": false) or a result beyond double precision (an error
+record of type "precision"), 1 internal error. A batch run prints one
+record per input line, never aborts on a bad record, and exits with
+the most severe per-record code under the ordering 2 > 1 > 3 > 0.
 
 Set GAMMASUM_LOG=DEBUG (or any logging level name) for diagnostics on
 stderr.
@@ -50,6 +51,7 @@ from .errors import (
     ConvergenceError,
     DomainError,
     NotPositiveDefiniteError,
+    PrecisionError,
     _integer,
     _real,
 )
@@ -366,6 +368,8 @@ def _execute_job(job):
         return _error_record(job.command, job.params, "validation", exc), 2
     except ConvergenceError as exc:
         return _error_record(job.command, job.params, "non-convergence", exc), 3
+    except PrecisionError as exc:
+        return _error_record(job.command, job.params, "precision", exc), 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary, report not crash
         _log.exception("internal error in %s", job.command)
         return _error_record(job.command, job.params, "internal", exc), 1

@@ -279,7 +279,21 @@ def _refinement_levels(d, x, r, cfg, density=None):
         f = _integrand_values(phis, r, alphas, cs, coeffs)
         if density is not None:
             density[0] = partial(_level_density, d, vx, r, pref, coeffs, phis, f)
-        yield n, pref * math.fsum(f.real.tolist()) / n
+        yield n, _scaled_fsum(pref, f.real.tolist(), "quadrature level") / n
+
+
+def _scaled_fsum(scale, terms, what):
+    """scale * math.fsum(terms), the finished sum of a route, checked once:
+    where it is not a finite double (a partial sum that overflows, inf -
+    inf or NaN among the terms, an overflowing product) the total shape
+    is beyond double precision and PrecisionError names what."""
+    try:
+        total = scale * math.fsum(terms)
+    except (OverflowError, ValueError):  # fsum's overflow and inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise PrecisionError(f"{what} is not finite in double precision")
+    return total
 
 
 def _level_density(d, vx, r, pref, coeffs, phis, f):
@@ -394,7 +408,7 @@ def _quantile(p, prob, cfg):
             lo = x
         else:
             hi = x
-        if hi - lo <= 1e-15 * max(1.0, lo):
+        if hi - lo <= 1e-15 * hi < math.inf:  # inf <= inf would stop at once
             break
         slope = density()
         if not (0.0 < slope < math.inf and f < 1.0):
@@ -430,9 +444,11 @@ def quantile(p, prob, cfg=None):
     doubles x while hi is infinite, or that comes from a density that is
     not finite and positive becomes a doubling of x (no hi yet) or a
     bisection of the bracket. The stop tests the certified CDF value;
-    the density only steers. Probabilities so extreme that the
-    quadrature cannot separate them from 0 or 1 collapse the bracket and
-    raise ConvergenceError carrying the last iterate, rather than
-    returning a sham root.
+    the density only steers. The bracket counts as collapsed once its
+    width is 1e-15 of hi, so roots far below 1e-15 are still found.
+    Probabilities so extreme that the quadrature cannot separate them
+    from 0 or 1 collapse the bracket or use up the 200 steps, and raise
+    ConvergenceError carrying the last iterate, rather than returning a
+    sham root.
     """
     return _quantile(p, prob, cfg)[0]

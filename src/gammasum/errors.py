@@ -41,7 +41,8 @@ class ConvergenceError(GammaSumError):
 
 
 class PrecisionError(GammaSumError):
-    """Estimated rounding or cancellation error exceeds the allowed level."""
+    """Estimated rounding or cancellation error exceeds the allowed level,
+    or a result leaves the double range."""
 
 
 class NotPositiveDefiniteError(GammaSumError, ValueError):

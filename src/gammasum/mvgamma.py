@@ -36,11 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CdfEstimate, QuadratureConfig, _doublings, _radius, _refine
+from .core import CdfEstimate, GammaSumParams, QuadratureConfig, derive_params
+from .core import _doublings, _radius, _refine, _scaled_fsum
 from .errors import (
     BranchTrackingError,
     ConfigError,
     DomainError,
+    PrecisionError,
     _integer,
     _real,
 )
@@ -123,30 +125,16 @@ def existence_caveat(p):
 
 
 def mv_derive(p):
-    """Eigendecompose sigma with qform.jacobi_eigen (LAPACK's eigh) and
-    build the reparametrization.
-
-    A spherical sigma = w I produces an exactly zero C matrix, which
-    mv_cdf turns into the closed product-of-marginals path."""
+    """Eigendecompose sigma = V diag(w) V' with qform.jacobi_eigen (LAPACK's
+    eigh); v, C's eigenvalues c, |C| and the prefactor are derive_params
+    of the gamma sum with shapes (alpha,)*p and scales w, and
+    C = V diag(c) V'. A spherical sigma = w I gives an exactly zero C,
+    which mv_cdf turns into the closed product-of-marginals path."""
     w, vecs = jacobi_eigen(p.sigma)
     _check_posdef(w, p.sigma.dim, "sigma")
-    wmin = float(w[0])
-    wmax = float(w[-1])
-    dim = p.sigma.dim
-    if wmax == wmin:
-        v = 1.0 / wmax
-        c = SymMatrix(np.zeros((dim, dim)))
-        norm = 0.0
-    else:
-        v = 0.5 * (1.0 / wmax + 1.0 / wmin)
-        cd = 1.0 - 1.0 / (v * w)
-        cm = (vecs * cd) @ vecs.T
-        c = SymMatrix(0.5 * (cm + cm.T))
-        norm = float(np.abs(cd).max())
-    log_pref = -p.alpha * dim * math.log(v) - p.alpha * math.fsum(
-        math.log(wi) for wi in w
-    )
-    return MvDerived(p.alpha, v, c, norm, log_pref)
+    d = derive_params(GammaSumParams((p.alpha,) * p.sigma.dim, tuple(w)))
+    c = SymMatrix((vecs * d.c) @ vecs.T)
+    return MvDerived(p.alpha, d.v, c, d.c_max_abs, d.log_prefactor)
 
 
 def _logdet(a):
@@ -186,7 +174,13 @@ def _axis_coefficients(d, xs, r, tol):
     """
     p = d.c_matrix.dim
     pref = math.exp(d.log_prefactor)
-    bound_det = (1.0 - d.spectral_norm_c / r) ** (-d.alpha * p)
+    try:
+        bound_det = (1.0 - d.spectral_norm_c / r) ** (-d.alpha * p)
+    except OverflowError:
+        raise PrecisionError(
+            "the determinant bound (1 - |C|/r)^-(alpha p) of the truncation "
+            "budget is not finite in double precision"
+        ) from None
     bound_g = 1.0 / (1.0 - r)
     eps_axis = tol / (10.0 * p * pref * bound_det * bound_g ** (p - 1))
     return [_geometric_coefficients(d.alpha, d.v * x, r, eps_axis)[0] for x in xs]
@@ -228,8 +222,8 @@ def _grid_value(d, coeffs, r, n):
             d.c_matrix.entries, d.alpha, y_ax[multi],
             [g[i] for g, i in zip(g_ax, multi)],
         )
-        block_sums.append(math.fsum(vals.real.tolist()))
-    return pref * math.fsum(block_sums) / total_pts
+        block_sums.append(_scaled_fsum(1.0, vals.real.tolist(), "grid block"))
+    return _scaled_fsum(pref, block_sums, "grid level") / total_pts
 
 
 def mv_cdf(p, xs, cfg=None):

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _paired_coefficients, derive_params
-from .errors import DomainError, NotPositiveDefiniteError, _integer, _real
-from .qform import _as_sym
+from .core import _paired_coefficients, _scaled_fsum, derive_params
+from .errors import DomainError, _integer, _real
+from .qform import _as_sym, _cholesky, _reduce
 from .special import reg_lower_gamma
 
 # Simulation chunk height: keeps the working set to a few hundred MB at most.
@@ -94,7 +94,8 @@ def series_cdf(p, x, tol=1e-10):
         return SeriesResult(pref * reg_lower_gamma(d.alpha_total, vx), 1, 0.0)
     coeffs, tail = _paired_coefficients(d, vx, tol)
     b = series_coefficients(d, coeffs.size)
-    return SeriesResult(pref * math.fsum((b * coeffs).tolist()), coeffs.size, tail)
+    value = _scaled_fsum(pref, (b * coeffs).tolist(), "series sum")
+    return SeriesResult(value, coeffs.size, tail)
 
 
 def _mc_fraction(n_samples, seed, chunk, draw):
@@ -139,30 +140,18 @@ def mc_cdf(p, x, n_samples=1000000, seed=0):
     return _mc_fraction(n_samples, seed, _CHUNK, draw)
 
 
-def _cholesky_lower(mat, what):
-    try:
-        return np.linalg.cholesky(mat.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
-
-
 def mc_qform(sigma, c, x, n_samples=1000000, seed=0):
     """Monte Carlo CDF of the quadratic form z' C z, z ~ N(0, Sigma).
 
     Gaussian vectors come from the ziggurat normal generator through the
-    Cholesky factor of Sigma. Sigma and C are checked as the analytic
-    route checks them (symmetric, of one order, positive definite), so
-    the simulated form has the same domain."""
+    Cholesky factor of Sigma. Sigma and C pass through qform._reduce,
+    the reduction qform_cdf starts from, so both routes accept and
+    refuse the same inputs with the same errors."""
     x = _real(x, "x")
-    sigma = _as_sym(sigma)
-    c = _as_sym(c)
-    if sigma.dim != c.dim:
-        raise DomainError(f"dimension mismatch: sigma is {sigma.dim}, c is {c.dim}")
-    l = _cholesky_lower(sigma, "sigma")
-    _cholesky_lower(c, "c")
+    c, l, _ = _reduce(sigma, c)
 
     def draw(rng, m):
-        xx = rng.standard_normal((m, sigma.dim)) @ l.T
+        xx = rng.standard_normal((m, c.dim)) @ l.T
         return ((xx @ c.entries) * xx).sum(axis=1) <= x
 
     return _mc_fraction(n_samples, seed, _CHUNK, draw)
@@ -186,7 +175,7 @@ def mc_mvgamma(alpha, sigma, xs, n_samples=1000000, seed=0):
         raise DomainError(
             f"mc_mvgamma requires 2 alpha to be a positive integer, got alpha={alpha!r}"
         )
-    l = _cholesky_lower(sigma, "sigma")
+    l = _cholesky(sigma, "sigma")
 
     def draw(rng, m):
         acc = np.zeros((m, sigma.dim))

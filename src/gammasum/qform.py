@@ -7,15 +7,16 @@ Gamma(1/2) variables scaled by 2 mu_j. The CDF at x is therefore the
 gamma-sum CDF with shapes (1/2, ..., 1/2) and scales mu evaluated at
 x/2 (scales folded as mu, argument halved).
 
-Both eigensolves, of Sigma for its square root and of M for mu, go
-through jacobi_eigen, which is LAPACK's symmetric solver (numpy's eigh).
+qform_cdf and oracles.mc_qform share one reduction, _reduce: Cholesky
+factors of Sigma = L L' and of C check both, and mu are the eigenvalues
+of L' C L (similar to M) from LAPACK's eigvalsh, the form's one eigensolve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import GammaSumParams, QuadratureConfig, cdf
+from .core import GammaSumParams, cdf
 from .errors import DomainError, NotPositiveDefiniteError, _real
 
 _POSDEF_REL = 1e-14
@@ -59,8 +60,9 @@ def jacobi_eigen(mat):
     """Ascending eigenvalues and orthonormal eigenvectors of a SymMatrix.
 
     This is LAPACK's symmetric eigensolver through np.linalg.eigh and
-    returns its (values, vectors) pair. The name predates the switch to
-    LAPACK and is kept so callers and profilers that bind it stay valid.
+    returns its (values, vectors) pair; mvgamma.mv_derive is its caller.
+    The name predates the switch to LAPACK and is kept so callers and
+    profilers that bind it stay valid.
     """
     return np.linalg.eigh(_as_sym(mat).entries)
 
@@ -74,25 +76,37 @@ def _check_posdef(values, dim, what):
         )
 
 
-def qform_eigenvalues(sigma, c):
-    """Ascending eigenvalues mu of Sigma^(1/2) C Sigma^(1/2).
+def _cholesky(mat, what):
+    """Lower Cholesky factor of a SymMatrix, or NotPositiveDefiniteError."""
+    try:
+        return np.linalg.cholesky(mat.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
 
-    These are the scale weights of the chi-square mixture; both inputs
-    must be symmetric positive definite."""
+
+def _reduce(sigma, c):
+    """(C as a SymMatrix, Sigma's lower Cholesky factor L, ascending mu):
+    the reduction both quadratic-form routes share. mu are the
+    eigenvalues of L' C L and must clear _check_posdef's floor."""
     sigma = _as_sym(sigma)
     c = _as_sym(c)
     if sigma.dim != c.dim:
         raise DomainError(
             f"dimension mismatch: sigma is {sigma.dim}, c is {c.dim}"
         )
-    w, v = jacobi_eigen(sigma)
-    _check_posdef(w, sigma.dim, "matrix")
-    root = (v * np.sqrt(w)) @ v.T
-    s = 0.5 * (root + root.T)
-    m = s @ c.entries @ s
-    mu, _ = jacobi_eigen(SymMatrix(0.5 * (m + m.T)))
+    l = _cholesky(sigma, "sigma")
+    _cholesky(c, "c")
+    mu = np.linalg.eigvalsh(l.T @ c.entries @ l)
     _check_posdef(mu, sigma.dim, "sigma^(1/2) c sigma^(1/2)")
-    return mu
+    return c, l, mu
+
+
+def qform_eigenvalues(sigma, c):
+    """Ascending eigenvalues mu of Sigma^(1/2) C Sigma^(1/2).
+
+    These are the scale weights of the chi-square mixture; both inputs
+    must be symmetric positive definite."""
+    return _reduce(sigma, c)[2]
 
 
 def qform_cdf(sigma, c, x, cfg=None):
@@ -102,6 +116,5 @@ def qform_cdf(sigma, c, x, cfg=None):
     at the point x/2."""
     x = _real(x, "x")
     mu = qform_eigenvalues(sigma, c)
-    cfg = QuadratureConfig() if cfg is None else cfg
     params = GammaSumParams((0.5,) * mu.size, tuple(mu))
     return cdf(params, 0.5 * x, cfg)

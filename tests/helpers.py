@@ -78,3 +78,12 @@ def random_spd(rng, dim, cond_max=10.0):
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     w = rng.uniform(1.0, cond_max, size=dim)
     return (q * w) @ q.T
+
+
+def large_shape_sum(alpha):
+    """(alphas, lambdas, x) of 60 gamma variables of shape alpha with
+    scales geomspace(1, 30, 60) and x at the mean: total shape 600
+    (alpha = 10) and above leaves double precision in the routes'
+    prefactor times product."""
+    lambdas = tuple(float(l) for l in np.geomspace(1.0, 30.0, 60))
+    return (float(alpha),) * 60, lambdas, sum(alpha * l for l in lambdas)

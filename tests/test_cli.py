@@ -12,6 +12,8 @@ import pytest
 from gammasum import cli
 from gammasum.cli import JobSpec, run
 
+from helpers import large_shape_sum
+
 # Recorded stdout and exit code of every command x method, the three
 # formats, non-convergence records, argv and batch validation errors and
 # one multi-line batch file ("<file>" stands for a file holding the
@@ -145,6 +147,38 @@ def test_nonconvergence_exit_3_with_partial_result():
     assert rec["converged"] is False
     assert rec["cdf"] is not None
     assert len(rec["warnings"]) == 1
+
+
+def _large_shape_argv(alpha, method):
+    alphas, lambdas, x = large_shape_sum(alpha)
+    return ["gamma-sum", "--alphas", *map(repr, alphas),
+            "--lambdas", *map(repr, lambdas), "--x", repr(x), "--method", method]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [_large_shape_argv(12, "series"), _large_shape_argv(10, "integral"),
+     _large_shape_argv(12, "integral"),
+     ["mvgamma", "--alpha", "200",
+      "--sigma", "[[1.7582332266320866,-1.793390227248807],"
+                 "[-1.7933902272488071,5.241766773367914]]",
+      "--xs", repr(200 * 1.7582332266320866), repr(200 * 5.241766773367914)]],
+    ids=["series-12", "integral-10", "integral-12", "mvgamma-200"],
+)
+def test_beyond_double_precision_exits_3(argv):
+    # no null cdf marked converged and no internal error: a typed
+    # precision record with exit 3
+    code, rec = _run_json(argv)
+    assert code == 3
+    assert rec["error_type"] == "precision"
+    assert "not finite in double precision" in rec["error"]
+
+
+def test_large_shape_series_still_sums():
+    code, rec = _run_json(_large_shape_argv(10, "series"))
+    assert code == 0
+    assert rec["cdf"] == 0.509521638839016 and rec["converged"] is True
 
 
 def test_matrix_shorthands_agree():

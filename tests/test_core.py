@@ -21,11 +21,13 @@ from gammasum.core import (
     derive_params,
     quantile,
 )
-from gammasum.errors import ConfigError, ConvergenceError, DomainError
+from gammasum.errors import (
+    ConfigError, ConvergenceError, DomainError, PrecisionError,
+)
 from gammasum.genfun import _geometric_coefficients
 from gammasum.special import gamma_pdf, reg_lower_gamma
 
-from helpers import hypoexp_cdf, random_params
+from helpers import hypoexp_cdf, large_shape_sum, random_params
 
 # 50-digit reference evaluations, frozen.
 REF_INTEGRAND = 0.24893482364401567024  # alphas (1,1), lambdas (1,3), x=2, phi=pi/2, r=0.75
@@ -267,10 +269,30 @@ def test_quantile_round_trip():
         quantile(p, 0.0)
     with pytest.raises(DomainError):
         quantile(p, 1.0)
-    # below the double range: the bracket collapses onto 0
+    # below the double range: the steps run out on the way to 0
     with pytest.raises(ConvergenceError) as info:
         quantile(GammaSumParams((0.1,), (2.0,)), 1e-300)
     assert type(info.value.estimate) is float
+
+
+def test_quantile_roots_below_1e_15():
+    # the bracket's collapse test is relative to hi: roots far below the
+    # old absolute floor of 1e-15 are normal doubles that cdf resolves
+    p = GammaSumParams((0.1,), (2.0,))
+    for prob, root in ((0.01, 1.2e-20), (1e-3, 1.2e-30), (1e-5, 1.2e-50)):
+        xq = quantile(p, prob)
+        assert 0.9 * root <= xq <= 1.1 * root
+        assert abs(cdf(p, xq).value - prob) <= 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("alpha", [10, 12])
+def test_large_total_shape_raises_precision_error(alpha):
+    # the level sum overflows inside fsum (alpha 10) or meets inf - inf
+    # (alpha 12); neither may escape as a bare OverflowError or ValueError
+    alphas, lambdas, x = large_shape_sum(alpha)
+    with pytest.raises(PrecisionError, match="not finite in double precision"):
+        cdf(GammaSumParams(alphas, lambdas), x)
 
 
 def test_evaluator_density_hypoexponential():

@@ -17,6 +17,7 @@ from gammasum.errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    PrecisionError,
 )
 from gammasum.mvgamma import (
     MvDerived,
@@ -38,6 +39,9 @@ REF_MV_INTEGRAND = 1.799281809432902738 - 0.50392366775315168808j
 REF_KIBBLE = 0.63203702656483023935  # alpha=1, sigma [[2,1],[1,2]], xs (3,3)
 
 SIGMA_2 = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
+# condition ~16 at alpha = 200: (1 - |C|/r)^-(alpha p) leaves the double range
+SIGMA_OVERFLOW = [[1.7582332266320866, -1.793390227248807],
+                  [-1.7933902272488071, 5.241766773367914]]
 
 
 def test_params_validation():
@@ -325,3 +329,11 @@ def test_mv_cdf_computes_axis_coefficients_once(monkeypatch):
     est = mv_cdf(MvGammaParams(1.0, SIGMA_2), (3.0, 3.0))
     assert est.nodes_used >= 64  # three or more refinement levels ran
     assert len(calls) == 2
+
+
+def test_mv_cdf_budget_overflow_raises_precision_error():
+    # the determinant bound of the truncation budget overflows a float
+    # power, which must not escape as a bare OverflowError
+    xs = (200.0 * SIGMA_OVERFLOW[0][0], 200.0 * SIGMA_OVERFLOW[1][1])
+    with pytest.raises(PrecisionError, match="determinant bound"):
+        mv_cdf(MvGammaParams(200.0, SIGMA_OVERFLOW), xs)

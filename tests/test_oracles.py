@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gammasum.core import GammaSumParams, cdf, derive_params
-from gammasum.errors import DomainError, NotPositiveDefiniteError
+from gammasum.errors import DomainError, NotPositiveDefiniteError, PrecisionError
 from gammasum.oracles import (
     mc_cdf,
     mc_mvgamma,
@@ -21,6 +21,7 @@ from helpers import (
     binomial_series_coefficients,
     brute_product_coefficients,
     hypoexp_cdf,
+    large_shape_sum,
     random_params,
 )
 
@@ -108,6 +109,18 @@ def test_series_cdf_roadmap_reproducers(k, shape, lo, want):
     res = series_cdf(p, 200.0)
     assert abs(res.value - want) <= res.tail_bound + 1e-12
     assert abs(res.value - want) <= 1e-9
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_series_cdf_large_total_shape():
+    # total shape 600 still sums; at 720 the b_n overflow while the
+    # prefactor underflows, and the NaN sum must not pass as a value
+    alphas, lambdas, x = large_shape_sum(10)
+    res = series_cdf(GammaSumParams(alphas, lambdas), x)
+    assert f"{res.value:.15g}" == "0.509521638839016"
+    alphas, lambdas, x = large_shape_sum(12)
+    with pytest.raises(PrecisionError, match="series sum"):
+        series_cdf(GammaSumParams(alphas, lambdas), x)
 
 
 def test_series_cdf_hypoexponential():

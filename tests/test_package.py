@@ -90,6 +90,15 @@ def test_runtime_imports_are_stdlib_and_numpy_only():
                 assert root in allowed, f"{path.name}:{node.lineno} imports {root}"
 
 
+def test_linear_algebra_lives_in_qform():
+    # one factorization path: every np.linalg reference sits in qform.py
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                    and getattr(node.value, "id", None) in ("np", "numpy")):
+                assert path.name == "qform.py", f"{path.name}:{node.lineno}"
+
+
 _P = gammasum.GammaSumParams((1.0, 2.0), (1.0, 3.0))
 _I2 = np.eye(2)
 _MV = gammasum.MvGammaParams(1.0, _I2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gammasum.errors import DomainError, NotPositiveDefiniteError
+from gammasum.oracles import mc_qform
 from gammasum.qform import SymMatrix, jacobi_eigen, qform_cdf, qform_eigenvalues
 from gammasum.special import reg_lower_gamma
 
@@ -18,6 +19,18 @@ HILBERT3_EIGS = [
     1.4083189271236539575,
 ]
 REF_QFORM = 0.73579039417115306031  # sigma [[2,1],[1,2]], c diag(1,3), x=10
+
+NEAR_SINGULAR = [[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]]
+INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]
+
+
+def two_eigensolve_mu(sigma, cmat):
+    """mu by the textbook route: Sigma's eigendecomposition, its square
+    root V sqrt(w) V', then the eigenvalues of Sigma^(1/2) C Sigma^(1/2)."""
+    w, v = np.linalg.eigh(sigma)
+    root = (v * np.sqrt(w)) @ v.T
+    m = root @ cmat @ root
+    return np.linalg.eigvalsh(0.5 * (m + m.T))
 
 
 def test_sym_matrix_accepts_and_freezes():
@@ -88,6 +101,36 @@ def test_qform_eigenvalues_validation():
         qform_eigenvalues([[1.0, 2.0], [2.0, 1.0]], np.eye(2))
     with pytest.raises(NotPositiveDefiniteError):
         qform_eigenvalues(np.eye(2), [[0.0, 0.0], [0.0, 1.0]])
+
+
+def test_qform_eigenvalues_match_two_eigensolve_reference():
+    # eig(L' C L) with Sigma = L L' against eig(Sigma^(1/2) C Sigma^(1/2))
+    rng = np.random.default_rng(107)
+    for _ in range(40):
+        dim = int(rng.integers(1, 9))
+        sigma = random_spd(rng, dim, cond_max=50.0)
+        cmat = random_spd(rng, dim, cond_max=50.0)
+        mu = qform_eigenvalues(sigma, cmat)
+        want = two_eigensolve_mu(sigma, cmat)
+        assert (np.abs(mu - want) <= 1e-12 * want).all(), dim
+
+
+@pytest.mark.parametrize(
+    "sigma, cmat",
+    [(NEAR_SINGULAR, np.eye(2)), (INDEFINITE, np.eye(2)),
+     ([[1.0, 1.0], [1.0, 1.0]], np.eye(2)), (np.eye(2), INDEFINITE),
+     (np.eye(2), NEAR_SINGULAR)],
+    ids=["sigma-near-singular", "sigma-indefinite", "sigma-singular",
+         "c-indefinite", "c-near-singular"],
+)
+def test_both_routes_refuse_alike(sigma, cmat):
+    # the analytic and the Monte Carlo route share one reduction, so they
+    # refuse the same inputs with the same error
+    with pytest.raises(NotPositiveDefiniteError) as analytic:
+        qform_cdf(sigma, cmat, 1.0)
+    with pytest.raises(NotPositiveDefiniteError) as simulated:
+        mc_qform(sigma, cmat, 1.0, 100)
+    assert str(analytic.value) == str(simulated.value)
 
 
 def test_sym_sqrt_rejects_indefinite():
